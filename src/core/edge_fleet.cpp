@@ -1,6 +1,7 @@
 #include "core/edge_fleet.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "dnn/feature_extractor.hpp"
@@ -490,28 +491,6 @@ std::size_t EdgeFleet::queued_frames(StreamHandle stream) const {
   return streams_[StreamIndex(stream)]->queue.size();
 }
 
-std::optional<video::Frame> EdgeFleet::TakeFrame(Stream& s) {
-  if (!s.queue.empty()) {
-    // Queued frames passed admission at Push; never re-admit.
-    video::Frame f = std::move(s.queue.front());
-    s.queue.pop_front();
-    return f;
-  }
-  while (s.source != nullptr && !s.source_done) {
-    auto f = s.source->Next();
-    if (!f) {
-      s.source_done = true;
-      break;
-    }
-    ValidateFrame(s, *f);  // sources may misreport their metadata
-    // A shed frame vanishes before staging; pull the source again — the
-    // decimator keeps every k-th OFFERED frame, so one Take may consume
-    // several source frames under overload.
-    if (AdmitFrame(s, *f)) return f;
-  }
-  return std::nullopt;
-}
-
 void EdgeFleet::DeliverScore(Stream& s, Tenant& tenant, float score) {
   const bool raw = score >= tenant.threshold;
   tenant.undecided.emplace_back(score, raw);
@@ -785,77 +764,93 @@ void EdgeFleet::RecycleStaging(Bucket& b, nn::Tensor t) {
   // else: a larger reallocation superseded this tensor; drop it.
 }
 
-EdgeFleet::StagedBatch EdgeFleet::GatherSync(Bucket& b, std::int64_t cap) {
-  StagedBatch batch;
-  batch.bucket = &b;
-  std::vector<Stream*> members;
-  for (const auto& s : streams_) {
-    if (s->bucket == &b) members.push_back(s.get());
-  }
-  if (members.empty()) return batch;
-
-  // Gather round-robin across the bucket's live streams: one frame per
-  // stream per cycle, continuing around until the batch is full or a whole
-  // cycle yields nothing. With >= cap streams ready, each contributes one
-  // frame; with fewer, their queues fill the remaining width — the
-  // per-stream buffering depth is ~cap / live_streams, never cap. Each
-  // frame is preprocessed into the bucket's staging tensor as it lands
-  // (stage A of the pipeline, run inline here).
-  const std::size_t n = members.size();
-  std::size_t idx = b.rr % n;
-  std::size_t misses = 0;  // consecutive streams with nothing ready
-  try {
-    while (static_cast<std::int64_t>(batch.entries.size()) < cap &&
-           misses < n) {
-      Stream& s = *members[idx];
-      idx = (idx + 1) % n;
-      if (auto f = TakeFrame(s)) {
-        StagedEntry e;
-        e.stream = s.handle;
-        e.frame = std::move(*f);
-        e.ingest_ns = e.frame.capture_ts_ns;
-        // The tenant set cannot change between this gather and
-        // ProcessStaged (one lock scope), so a tenantless stream's frames
-        // skip the base-DNN input entirely — they only flow through the
-        // trivial-finalize/archive tail.
-        if (!s.tenants.empty()) {
-          if (batch.staging.empty()) batch.staging = TakeStaging(b, cap);
-          e.slot = batch.n_slots++;
-        }
-        batch.entries.push_back(std::move(e));
-        const StagedEntry& staged = batch.entries.back();
-        if (staged.slot >= 0) {
-          dnn::PreprocessRgbInto(batch.staging, staged.slot,
-                                 staged.frame.r(), staged.frame.g(),
-                                 staged.frame.b());
-        }
-        misses = 0;
+bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
+                           std::unique_lock<std::mutex>* io_lock) {
+  video::Frame frame;
+  if (!s.queue.empty()) {
+    // Queued frames passed admission at Push; never re-admit.
+    frame = std::move(s.queue.front());
+    s.queue.pop_front();
+  } else {
+    for (;;) {
+      if (s.source == nullptr || s.source_done) return false;
+      std::optional<video::Frame> next;
+      if (io_lock == nullptr) {
+        next = s.source->Next();
       } else {
-        ++misses;
+        // Decode outside the lock — this is the overlap the pipeline exists
+        // for. The prefetching flag keeps RemoveStream from invalidating the
+        // stream (and the caller's source) mid-call.
+        s.prefetching = true;
+        video::FrameSource* const src = s.source;
+        io_lock->unlock();
+        try {
+          next = src->Next();
+        } catch (...) {
+          io_lock->lock();
+          s.prefetching = false;
+          idle_cv_.notify_all();
+          throw;
+        }
+        io_lock->lock();
+        s.prefetching = false;
+        idle_cv_.notify_all();
       }
+      if (!next) {
+        s.source_done = true;
+        return false;
+      }
+      // Validate and admit BEFORE the stop check: a misreporting source
+      // must stay loud even at stop (the throw surfaces at StopPipeline
+      // like any stage error), and the shed schedule must not depend on
+      // when StopPipeline happened to land.
+      ValidateFrame(s, *next);  // sources may misreport their metadata
+      const bool admitted = AdmitFrame(s, *next);
+      if (io_lock != nullptr && pipeline_stop_) {
+        // Keep an ADMITTED decoded frame for the next Step or pipeline
+        // restart, at the queue front (every queued frame is post-admission,
+        // so only admitted frames may be restaged).
+        if (admitted) s.queue.push_front(std::move(*next));
+        return false;
+      }
+      if (admitted) {
+        frame = std::move(*next);
+        break;
+      }
+      // A shed frame vanishes before staging; pull the source again — the
+      // decimator keeps every k-th OFFERED frame, so one stage-A turn may
+      // consume several source frames under overload.
     }
-  } catch (...) {
-    // One stream's source misbehaved (e.g. a mismatched frame) — restage
-    // the frames already gathered from the OTHER streams so the loud
-    // failure does not silently eat a frame of anyone's decision stream.
-    // Reverse order restores each queue's original front-to-back order.
-    for (auto it = batch.entries.rbegin(); it != batch.entries.rend(); ++it) {
-      streams_[StreamIndex(it->stream)]->queue.push_front(
-          std::move(it->frame));
-    }
-    RecycleStaging(b, std::move(batch.staging));
-    throw;
   }
-  b.rr = idx;  // the next gather resumes where this one stopped
-  return batch;
+  if (batch.staging.empty()) batch.staging = TakeStaging(*s.bucket, cap);
+  batch.entries.push_back(StagedEntry{s.handle, std::move(frame)});
+  const video::Frame& f = batch.entries.back().frame;
+  const auto image = static_cast<std::int64_t>(batch.entries.size()) - 1;
+  // The pipeline preprocesses outside the lock: its filling batch is
+  // stage-A-private (the compute stage only sees batches after hand-off).
+  if (io_lock != nullptr) io_lock->unlock();
+  dnn::PreprocessRgbInto(batch.staging, image, f.r(), f.g(), f.b());
+  if (io_lock != nullptr) io_lock->lock();
+  return true;
+}
+
+void EdgeFleet::Restage(StagedBatch& batch) {
+  // Reverse batch order restores each queue's original front-to-back order.
+  // Frames of a stream removed meanwhile are dropped, like its queue was.
+  for (auto it = batch.entries.rbegin(); it != batch.entries.rend(); ++it) {
+    if (Stream* s = FindStream(it->stream)) {
+      s->queue.push_front(std::move(it->frame));
+    }
+  }
+  RecycleStaging(*batch.bucket, std::move(batch.staging));
 }
 
 std::int64_t EdgeFleet::ProcessStaged(
     StagedBatch& batch, std::vector<ArchiveItem>* deferred_archive) {
   struct Item {
     Stream* stream = nullptr;
-    std::int64_t image = -1;      // slot in the staging tensor / feature maps
-    std::int64_t ingest_ns = -1;  // capture/arrival time (latency stats)
+    std::int64_t image = -1;      // entry index = staging / feature-map image
+    std::int64_t ingest_ns = -1;  // capture timestamp (latency stats)
     std::vector<float> scores;    // one per tenant of `stream`
   };
   // Resolve handles to live streams; a stream removed while its frames
@@ -866,12 +861,10 @@ std::int64_t EdgeFleet::ProcessStaged(
   for (std::size_t i = 0; i < batch.entries.size(); ++i) {
     if (Stream* s = FindStream(batch.entries[i].stream)) {
       items.push_back(Item{s, static_cast<std::int64_t>(i),
-                           batch.entries[i].ingest_ns, {}});
+                           batch.entries[i].frame.capture_ts_ns, {}});
     }
   }
   if (items.empty()) return 0;
-  // `image` indexes entries during bookkeeping; re-pointed to the staging
-  // slot before phase 1 (slotless frames never reach the MC phase).
 
   // Bookkeeping for the whole batch up front (as the single-node path
   // did): the tenant set cannot change mid-batch, so every frame sees the
@@ -883,16 +876,15 @@ std::int64_t EdgeFleet::ProcessStaged(
       // The first kept frame after a shed gap restarts archival prediction
       // (the gap's frames were never encoded); AdmitFrame stamped the flag
       // onto that frame, so it lands on exactly one append in FIFO order.
-      const bool force = e.pixels().force_keyframe;
-      const std::int64_t ts = e.pixels().capture_ts_ns;
+      const bool force = e.frame.force_keyframe;
+      const std::int64_t ts = e.frame.capture_ts_ns;
       if (deferred_archive != nullptr) {
         // Copy now — the frame may be moved into the pending buffer below —
         // and append on the archive-writer thread, outside mu_.
-        deferred_archive->push_back(ArchiveItem{s.store, e.pixels(), ts,
-                                                force});
+        deferred_archive->push_back(ArchiveItem{s.store, e.frame, ts, force});
         ++archive_in_flight_;
       } else {
-        s.store->Archive(e.pixels(), ts, force);
+        s.store->Archive(e.frame, ts, force);
       }
     }
     if (cfg_.enable_upload) {
@@ -903,10 +895,9 @@ std::int64_t EdgeFleet::ProcessStaged(
         ++s.pending_base;
       } else {
         PendingFrame pf;
-        // Owned frames move into the pending buffer (their pixels already
-        // live in the staging tensor); borrowed SubmitSpan frames are
-        // copied once — they must outlive the caller's span.
-        pf.frame = e.borrowed != nullptr ? *e.borrowed : std::move(e.frame);
+        // The frame moves into the pending buffer (its pixels already live
+        // in the staging tensor).
+        pf.frame = std::move(e.frame);
         pf.needed = s.tenants.size();
         s.pending.push_back(std::move(pf));
       }
@@ -916,19 +907,15 @@ std::int64_t EdgeFleet::ProcessStaged(
   // Phase 1: one shared base-DNN forward over the staged batch — images
   // from different streams side by side in the bucket's (N, 3, H, W)
   // staging tensor, handed over as a Prefix view so a partial batch never
-  // reallocates. Skipped when no staged frame has a live tenant.
+  // reallocates. Skipped when no staged frame has a live tenant (frames of
+  // tenantless streams ride along in a batch that does run).
   std::vector<Item*> active;
   std::vector<Stream*> active_streams;
   // Per-stream items of this batch, in stream order (parallel to
   // active_streams). Scratch, rebuilt every batch.
   std::vector<std::vector<Item*>> stream_items;
   for (Item& it : items) {
-    it.image = batch.entries[static_cast<std::size_t>(it.image)].slot;
     if (it.stream->tenants.empty()) continue;
-    // A tenanted frame always has a staging slot: the sync gather slots
-    // exactly the tenanted streams' frames (tenancy is fixed within the
-    // lock scope) and the pipelined prefetch stage slots everything.
-    FF_CHECK_GE(it.image, 0);
     active.push_back(&it);
     auto pos =
         std::find(active_streams.begin(), active_streams.end(), it.stream);
@@ -945,7 +932,9 @@ std::int64_t EdgeFleet::ProcessStaged(
   dnn::FeatureMaps fm;
   if (!active.empty()) {
     base_timer_.Start();
-    fm = fx_.Extract(tensor::TensorView(batch.staging).Prefix(batch.n_slots));
+    fm = fx_.Extract(tensor::TensorView(batch.staging)
+                         .Prefix(static_cast<std::int64_t>(
+                             batch.entries.size())));
     base_timer_.Stop();
   }
 
@@ -1006,12 +995,10 @@ std::int64_t EdgeFleet::ProcessStaged(
   const std::int64_t batch_now = clock_->NowNs();
   for (Item& it : items) {
     Stream& s = *it.stream;
-    if (it.ingest_ns >= 0) {
-      const double latency_ms = std::max(
-          0.0, static_cast<double>(batch_now - it.ingest_ns) / 1e6);
-      s.latency.Add(latency_ms);
-      fleet_latency_.Add(latency_ms);
-    }
+    const double latency_ms =
+        std::max(0.0, static_cast<double>(batch_now - it.ingest_ns) / 1e6);
+    s.latency.Add(latency_ms);
+    fleet_latency_.Add(latency_ms);
     if (!s.tenants.empty()) {
       // Capture ts (+ pooled tap signature for topology members) of this
       // frame, consulted when its decisions finalize. The batched-extract
@@ -1051,7 +1038,7 @@ std::int64_t EdgeFleet::ProcessStaged(
   // batch moves the maps instead of slicing (the frame-at-a-time path pays
   // no copy).
   if (!active.empty()) {
-    if (batch.n_slots == 1 && active_streams.size() == 1) {
+    if (batch.entries.size() == 1) {
       active_streams[0]->last_fm = std::move(fm);
     } else {
       for (std::size_t si = 0; si < active_streams.size(); ++si) {
@@ -1086,68 +1073,42 @@ std::int64_t EdgeFleet::Step(std::int64_t max_frames) {
   const std::size_t nb = buckets_.size();
   for (std::size_t k = 0; k < nb; ++k) {
     Bucket& b = *buckets_[(bucket_rr_ + k) % nb];
-    StagedBatch batch = GatherSync(b, cap);
-    if (batch.entries.empty()) {
-      RecycleStaging(b, std::move(batch.staging));
-      continue;
+    std::vector<Stream*> members;
+    for (const auto& s : streams_) {
+      if (s->bucket == &b) members.push_back(s.get());
     }
+    if (members.empty()) continue;
+    // Gather round-robin across the bucket's live streams: one frame per
+    // stream per cycle, continuing around until the batch is full or a
+    // whole cycle yields nothing. With >= cap streams ready, each
+    // contributes one frame; with fewer, their queues fill the remaining
+    // width — the per-stream buffering depth is ~cap / live_streams.
+    StagedBatch batch;
+    batch.bucket = &b;
+    const std::size_t n = members.size();
+    std::size_t idx = b.rr % n;
+    std::size_t misses = 0;  // consecutive streams with nothing ready
+    try {
+      while (static_cast<std::int64_t>(batch.entries.size()) < cap &&
+             misses < n) {
+        Stream& s = *members[idx];
+        idx = (idx + 1) % n;
+        misses = StageFrame(s, batch, cap, nullptr) ? 0 : misses + 1;
+      }
+    } catch (...) {
+      // One stream's source misbehaved (e.g. a mismatched frame): the loud
+      // failure must not silently eat a frame of anyone's decision stream.
+      Restage(batch);
+      throw;
+    }
+    b.rr = idx;  // the next gather resumes where this one stopped
+    if (batch.entries.empty()) continue;
     bucket_rr_ = (bucket_rr_ + k + 1) % nb;
-    const std::int64_t n = ProcessStaged(batch);
+    const std::int64_t processed = ProcessStaged(batch);
     RecycleStaging(b, std::move(batch.staging));
-    return n;
+    return processed;
   }
   return 0;
-}
-
-std::int64_t EdgeFleet::SubmitSpan(StreamHandle stream,
-                                   std::span<const video::Frame> frames) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FF_CHECK_MSG(!drained_, "cannot submit to a drained fleet");
-  FF_CHECK_MSG(!pipeline_active_,
-               "SubmitSpan() is a synchronous schedule; StopPipeline() first");
-  if (frames.empty()) return 0;
-  Stream& s = *streams_[StreamIndex(stream)];
-  // A span is processed immediately; letting it overtake frames already
-  // staged on the stream's Push() queue would silently reorder the
-  // stream's decision sequence. Refuse loudly instead.
-  FF_CHECK_MSG(s.queue.empty(),
-               "stream " << stream << " has " << s.queue.size()
-                         << " queued frame(s); Step() them before "
-                            "SubmitSpan, or submit everything one way");
-  // Validate the whole span before staging any of it: a bad frame must not
-  // leave partial state behind the throw.
-  for (const auto& f : frames) ValidateFrame(s, f);
-  Bucket& b = *s.bucket;
-  const auto n = static_cast<std::int64_t>(frames.size());
-  // Spans are exempt from shedding (the EdgeNode facade's bitwise contract
-  // forbids dropping from a caller's own batch) but still count as offered
-  // load, and their latency is measured from the caller's capture stamp
-  // when present — a span of untimestamped frames measures zero by
-  // construction (ingested and decided inside one call).
-  s.frames_offered += n;
-  const std::int64_t span_now = clock_->NowNs();
-  StagedBatch batch;
-  batch.bucket = &b;
-  // As in the sync gather, a tenantless stream's frames skip the base-DNN
-  // input entirely (tenancy is fixed within this lock scope).
-  if (!s.tenants.empty()) batch.staging = TakeStaging(b, n);
-  batch.entries.reserve(frames.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const video::Frame& f = frames[static_cast<std::size_t>(i)];
-    StagedEntry e;
-    e.stream = s.handle;
-    e.borrowed = &f;  // zero-copy: preprocess reads the caller's planes
-    e.ingest_ns = f.capture_ts_ns >= 0 ? f.capture_ts_ns : span_now;
-    if (!batch.staging.empty()) {
-      e.slot = batch.n_slots++;
-      dnn::PreprocessRgbInto(batch.staging, e.slot, f.r(), f.g(), f.b());
-    }
-    batch.entries.push_back(std::move(e));
-  }
-  const std::int64_t processed = ProcessStaged(batch);
-  RecycleStaging(b, std::move(batch.staging));
-  FF_CHECK_EQ(processed, n);
-  return processed;
 }
 
 // --- Pipelined schedule ------------------------------------------------------
@@ -1166,20 +1127,11 @@ void EdgeFleet::FlushFilling(Bucket& b, std::unique_lock<std::mutex>& lock) {
   if (!delivered) {
     // Queue closed by a failing stage. The abort must not cost any stream
     // its staged frames (one dead camera must never open gaps in its
-    // siblings' decision streams): restage them at their queues' front in
-    // reverse batch order, so the post-error synchronous schedule sees the
-    // exact per-stream sequences the pipeline would have. Entries here
-    // always own their pixels — SubmitSpan (the only borrowed path) never
-    // stages through the pipeline hand-off.
+    // siblings' decision streams), so the post-error synchronous schedule
+    // sees the exact per-stream sequences the pipeline would have.
     --b.tensors_out;
     in_flight_ -= staged;
-    for (auto it = batch.entries.rbegin(); it != batch.entries.rend(); ++it) {
-      Stream* const s = FindStream(it->stream);
-      if (s != nullptr && it->borrowed == nullptr) {
-        s->queue.push_front(std::move(it->frame));
-      }
-    }
-    RecycleStaging(b, std::move(batch.staging));
+    Restage(batch);
     idle_cv_.notify_all();
   }
 }
@@ -1249,81 +1201,9 @@ void EdgeFleet::PrefetchLoop(std::unique_lock<std::mutex>& lock) {
       continue;
     }
 
-    Stream& s = *victim;
-    Bucket& b = *s.bucket;
-    if (b.filling.staging.empty()) {
-      FF_CHECK(b.filling.entries.empty());
-      b.filling.staging = TakeStaging(b, cap);
-      b.filling.bucket = &b;
-    }
-
-    video::Frame frame;
-    if (!s.queue.empty()) {
-      frame = std::move(s.queue.front());
-      s.queue.pop_front();
-    } else {
-      // Decode outside the lock — this is the overlap the pipeline exists
-      // for. The prefetching flag keeps RemoveStream from invalidating the
-      // stream (and the caller's source) mid-call.
-      s.prefetching = true;
-      video::FrameSource* const src = s.source;
-      lock.unlock();
-      std::optional<video::Frame> next;
-      try {
-        next = src->Next();
-      } catch (...) {
-        lock.lock();
-        s.prefetching = false;
-        idle_cv_.notify_all();
-        throw;
-      }
-      lock.lock();
-      s.prefetching = false;
-      idle_cv_.notify_all();
-      if (!next) {
-        s.source_done = true;
-        if (pipeline_stop_) break;
-        continue;
-      }
-      // Validate and admit BEFORE the stop check: a misreporting source
-      // must stay loud even at stop (the throw surfaces at StopPipeline
-      // like any stage error), and the shed schedule must not depend on
-      // when StopPipeline happened to land — a frame the controller sheds
-      // is shed whether or not the pipeline is stopping.
-      ValidateFrame(s, *next);
-      const bool admitted = AdmitFrame(s, *next);
-      if (pipeline_stop_) {
-        // Keep an ADMITTED decoded frame for the next synchronous Step or
-        // pipeline restart: restaged at the queue front, order preserved
-        // (every queued frame is post-admission, so only admitted frames
-        // may be restaged).
-        if (admitted) s.queue.push_front(std::move(*next));
-        break;
-      }
-      if (!admitted) continue;
-      frame = std::move(*next);
-    }
-
-    StagedEntry e;
-    e.stream = s.handle;
-    // Unlike the sync gather, EVERY prefetched frame gets a staging slot:
-    // a tenant may attach between staging and processing, and its frames
-    // must already be in the base-DNN input when that batch computes.
-    e.slot = b.filling.n_slots++;
-    e.frame = std::move(frame);
-    e.ingest_ns = e.frame.capture_ts_ns;
-    b.filling.entries.push_back(std::move(e));
+    Bucket& b = *victim->bucket;
+    if (!StageFrame(*victim, b.filling, cap, &lock)) continue;
     ++in_flight_;
-    {
-      // Preprocess outside the lock: the filling batch is stage-A-private
-      // (the compute stage only ever sees batches after the hand-off).
-      const StagedEntry& staged = b.filling.entries.back();
-      nn::Tensor& staging = b.filling.staging;
-      lock.unlock();
-      dnn::PreprocessRgbInto(staging, staged.slot, staged.frame.r(),
-                             staged.frame.g(), staged.frame.b());
-      lock.lock();
-    }
     if (static_cast<std::int64_t>(b.filling.entries.size()) >= cap) {
       FlushFilling(b, lock);
     }
@@ -1424,7 +1304,6 @@ void EdgeFleet::StartPipeline() {
     // batch, even after an aborted pipeline. Clearing is a belt-and-braces
     // guard for that invariant, not a drop path.
     b->filling.entries.clear();
-    b->filling.n_slots = 0;
   }
   // Capacity 2: per-bucket double buffering already bounds staging memory;
   // this bound is back-pressure so stage A cannot run far ahead of B/C.

@@ -29,9 +29,13 @@
 //       pair over the shared maps — then phases 3-5 (K-voting, events,
 //       upload, archive) per frame in batch order.
 //
-// Synchronous Step() runs A→B→C inline on the caller (the degenerate
-// single-threaded schedule; sinks fire on the caller's thread).
-// StartPipeline()/StopPipeline() run stage A on a dedicated prefetch thread
+// Stage A is ONE function (StageFrame) for both schedules: it takes a
+// stream's next admitted frame and preprocesses it into the next image of a
+// bucket batch. Synchronous Step() runs A→B→C inline on the caller, holding
+// the fleet lock for the whole turn (the degenerate single-threaded
+// schedule; sinks fire on the caller's thread). StartPipeline()/
+// StopPipeline() run the same stage A on a dedicated prefetch thread —
+// which drops the lock only around FrameSource::Next() and preprocessing —
 // and stages B/C on a dedicated compute thread, handing filled buckets
 // across a bounded util::BoundedQueue: frame decode overlaps the base DNN
 // and MC inference on multicore. Each bucket keeps exactly two staging
@@ -102,8 +106,6 @@
 #include <memory>
 #include <mutex>
 #include <condition_variable>
-#include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -398,19 +400,6 @@ class EdgeFleet {
   // the pipeline is running.
   std::int64_t Step(std::int64_t max_frames = 0);
 
-  // Zero-copy span ingestion for one stream (the EdgeNode facade's Submit
-  // seam): preprocesses `frames` straight from the caller's storage into
-  // the stream's bucket staging tensor — no copy into the push queue — and
-  // processes them as exactly one batch. The span is only borrowed for the
-  // call; matched frames are still copied once into the pending-upload
-  // buffer (they must outlive the decision lag). The whole span is
-  // validated before any work, so a bad frame leaves no partial state;
-  // the stream's Push() queue must be empty (a span processes immediately
-  // and must not overtake queued frames — mixing the two ingestion styles
-  // on one stream throws loudly instead of reordering).
-  std::int64_t SubmitSpan(StreamHandle stream,
-                          std::span<const video::Frame> frames);
-
   // Step() until no stream yields a frame, then Drain(). Returns total
   // frames processed by the fleet.
   std::int64_t Run();
@@ -648,34 +637,25 @@ class EdgeFleet {
     bool force_keyframe = false;  // first kept frame after a shed gap
   };
 
-  // One frame staged into a bucket's batch. `slot` is the frame's image
-  // index in the staging tensor, or -1 when the frame was not
-  // preprocessed: the synchronous gather skips the base-DNN input for
-  // streams with no tenants (their tenancy cannot change before
-  // processing), exactly as the pre-bucket scheduler did — the pipelined
-  // prefetch stage always assigns a slot, because a tenant may attach
-  // between staging and processing. Streams are referenced by handle, not
-  // pointer: a stream removed while its frames are staged simply stops
-  // resolving and those frames are discarded at processing.
+  // One admitted frame staged into a bucket's batch. Every staged frame
+  // owns a slot in the base-DNN input — tenantless streams' frames too,
+  // because a tenant may attach before the batch computes. Its capture
+  // timestamp (stamped at admission) is the latency origin. Streams are
+  // referenced by handle, not pointer: a stream removed while its frames
+  // are staged simply stops resolving and those frames are discarded at
+  // processing.
   struct StagedEntry {
     StreamHandle stream = -1;
-    std::int64_t slot = -1;
-    std::int64_t ingest_ns = -1;  // capture/arrival time (latency stats)
-    video::Frame frame;                      // owned (queue/source paths)
-    const video::Frame* borrowed = nullptr;  // SubmitSpan: caller's frame
-    const video::Frame& pixels() const {
-      return borrowed != nullptr ? *borrowed : frame;
-    }
+    video::Frame frame;
   };
 
-  // A bucket batch in flight: slots [0, n_slots) of `staging` are filled.
-  // This is the unit handed from the prefetch stage to the compute stage
-  // (and the unit the synchronous Step builds inline).
+  // A bucket batch in flight: entry i is preprocessed into image i of
+  // `staging`. This is the unit handed from the prefetch stage to the
+  // compute stage (and the unit the synchronous Step builds inline).
   struct StagedBatch {
     Bucket* bucket = nullptr;
     nn::Tensor staging;  // (capacity, 3, H, W)
     std::vector<StagedEntry> entries;
-    std::int64_t n_slots = 0;
   };
 
   // One geometry's batching state. Buckets are heap-stable and never die,
@@ -708,12 +688,10 @@ class EdgeFleet {
   std::pair<Stream*, std::size_t> TenantRef(McHandle handle) const;
   void ValidateFrame(const Stream& s, const video::Frame& frame) const;
   // Overload-control admission, called (under mu_) for every frame entering
-  // via Push or a source gather. Stamps the frame's capture timestamp when
-  // the source left it unset, updates the stream's breach/recovery streaks,
-  // and returns whether the frame is kept (false = shed now, before any
-  // staging). SubmitSpan is exempt: a span is the caller's own batch and
-  // the EdgeNode facade's bitwise contract forbids silently dropping from
-  // it.
+  // via Push or StageFrame's source pull. Stamps the frame's capture
+  // timestamp when the source left it unset, updates the stream's
+  // breach/recovery streaks, and returns whether the frame is kept (false =
+  // shed now, before any staging).
   bool AdmitFrame(Stream& s, video::Frame& frame);
   // Priority gate: may `s` escalate its decimation? Only when every live
   // stream of strictly lower priority is already at max_keep_every.
@@ -721,9 +699,6 @@ class EdgeFleet {
   bool overload_enabled() const {
     return cfg_.slo_ms > 0 || cfg_.shed_queue_depth > 0;
   }
-  // Next frame of `s`: staged queue first, then the source. nullopt when
-  // neither has one.
-  std::optional<video::Frame> TakeFrame(Stream& s);
 
   Bucket& BucketFor(std::int64_t width, std::int64_t height);
   // Staging-tensor circulation (see Bucket). TakeStaging prefers the
@@ -731,11 +706,24 @@ class EdgeFleet {
   nn::Tensor TakeStaging(Bucket& b, std::int64_t cap);
   void RecycleStaging(Bucket& b, nn::Tensor t);
 
-  // Stage A inline: gathers up to `cap` frames round-robin across `b`'s
-  // streams, preprocessing each into the batch's staging tensor. On a
-  // mid-gather validation throw, already-gathered frames are restaged onto
-  // their queues so no stream's decision sequence gains a gap.
-  StagedBatch GatherSync(Bucket& b, std::int64_t cap);
+  // Stage A, the one staging path of both schedules: takes the next
+  // admitted frame of `s` — its Push() queue first (queued frames were
+  // admitted at Push), then its source (each frame validated, then
+  // admitted; a shed frame is skipped and the source pulled again) —
+  // appends it to `batch` and preprocesses it into the batch's next
+  // staging image (the batch takes a `cap`-wide tensor from `s`'s bucket
+  // on its first frame). Returns false when `s` has nothing ready.
+  // Step() passes no `io_lock` and holds mu_ throughout; the prefetch
+  // thread passes its lock, which is released around source->Next() and
+  // preprocessing — and when StopPipeline lands during a pull, an admitted
+  // frame is restaged at the queue front instead of staged.
+  bool StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
+                  std::unique_lock<std::mutex>* io_lock);
+  // Returns the frames of a batch that will never be processed to the
+  // front of their streams' queues, in order, and recycles its staging
+  // tensor: an aborted gather or pipeline opens no gap in any surviving
+  // stream's decision sequence.
+  void Restage(StagedBatch& batch);
   // Stages B + C: bookkeeping, one base-DNN forward over the staged batch,
   // the (stream, tenant) MC fan-out, then phases 3-5 per frame in batch
   // order. Returns frames processed (staged entries whose stream is gone

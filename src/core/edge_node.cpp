@@ -43,12 +43,21 @@ void EdgeNode::Submit(const video::Frame& frame) {
 }
 
 void EdgeNode::Submit(std::span<const video::Frame> frames) {
-  // Zero-copy: the fleet's span seam preprocesses the caller's frames
-  // straight into the bucket staging tensor — no copy into the push queue
-  // (the span validates whole-or-nothing inside the fleet, and the batch
-  // is exactly one fleet step, as documented). Matched frames still pay
-  // one copy into the pending-upload buffer; nothing else does.
-  fleet_.SubmitSpan(stream_, frames);
+  // Whole-or-nothing: check the entire span before the first Push, so a
+  // bad frame anywhere in it leaves no state behind.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    FF_CHECK_MSG(frames[i].width() == cfg_.frame_width &&
+                     frames[i].height() == cfg_.frame_height,
+                 "node is configured for " << cfg_.frame_width << "x"
+                     << cfg_.frame_height << " but frame " << i
+                     << " of the span is " << frames[i].width() << "x"
+                     << frames[i].height());
+  }
+  // The same path as Run(): each frame is copied onto the stream's queue
+  // and the span is processed as exactly one fleet step (an empty span
+  // steps an empty queue — a no-op).
+  for (const video::Frame& f : frames) fleet_.Push(stream_, f);
+  fleet_.Step(static_cast<std::int64_t>(frames.size()));
 }
 
 std::int64_t EdgeNode::Run(video::FrameSource& source) {

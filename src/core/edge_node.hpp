@@ -83,9 +83,10 @@ struct EdgeNodeConfig {
   bool parallel_mcs = true;
   // Time source for the node's ingest→decision latency accounting
   // (fleet_stats() through the facade). Borrowed, must outlive the node;
-  // null uses the process-wide steady clock. The single-stream node never
-  // sheds (Submit is a span, exempt by the fleet's admission contract), so
-  // this only affects the latency numbers.
+  // null uses the process-wide steady clock. The node configures no SLO or
+  // shed depth on its fleet, so it never sheds and this only affects the
+  // latency numbers (and the capture timestamps stamped on frames that
+  // arrive without one).
   util::Clock* clock = nullptr;
   // Frames per phase-1 batch in Run(): the base DNN forwards (N, 3, H, W)
   // at a time, so its conv kernels parallelize across n × out_c instead of
@@ -121,14 +122,15 @@ class EdgeNode {
   // (N, 3, H, W) batch; phases 2-5 then run per frame in stream order, so
   // every tenant sees exactly the per-frame decision stream that N
   // single-frame Submit calls would produce (pinned by edge_batch_test).
-  // The span is ZERO-COPY: frames are preprocessed straight from the
-  // caller's storage into the fleet's bucket staging tensor
-  // (EdgeFleet::SubmitSpan) — only frames matched for upload pay a copy
-  // into the pending buffer, where they must outlive the decision lag.
-  // The tenant set is fixed for the whole batch — Attach/Detach remain
-  // frame-boundary operations and batches are their coarser boundary: a
-  // tenant attached after Submit(span of N) is live from global frame
-  // index frames_processed(); a detaching tenant drains through the last
+  // Every frame's geometry is checked before any work, so a bad frame
+  // anywhere in the span throws and leaves no state behind. The frames are
+  // then COPIED onto the node's fleet stream (EdgeFleet::Push) and
+  // processed as one EdgeFleet::Step — the same staging path as Run() and
+  // every fleet stream; the span itself is not retained. The tenant set
+  // is fixed for the whole batch — Attach/Detach remain frame-boundary
+  // operations and batches are their coarser boundary: a tenant attached
+  // after Submit(span of N) is live from global frame index
+  // frames_processed(); a detaching tenant drains through the last
   // submitted batch.
   void Submit(std::span<const video::Frame> frames);
 

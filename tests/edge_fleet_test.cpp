@@ -12,7 +12,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/edge_fleet.hpp"
@@ -291,14 +290,6 @@ TEST(EdgeFleet, GeometryBucketsAndInvalidGeometryRejectedLoudly) {
         << msg;
   }
   EXPECT_EQ(fleet.n_streams(), 4u);
-  // SubmitSpan processes immediately, so it refuses to overtake frames
-  // already staged on the stream's Push() queue (silent reordering of the
-  // decision sequence would be worse than the throw).
-  const video::Frame f0 = small.RenderFrame(0), f1 = small.RenderFrame(1);
-  fleet.Push(hp, f0);
-  EXPECT_THROW(fleet.SubmitSpan(hp, std::span<const video::Frame>(&f1, 1)),
-               util::CheckError);
-  EXPECT_EQ(fleet.queued_frames(hp), 1u);  // the queued frame is untouched
 }
 
 // A FrameSource that advertises one geometry but yields another — the kind

@@ -3,6 +3,9 @@
 // sink-based delivery, and session lifecycle (attach/submit/drain).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "core/edge_node.hpp"
 #include "metrics/event_metrics.hpp"
 #include "video/dataset.hpp"
@@ -291,6 +294,58 @@ TEST(EdgeNode, RejectsWrongDimsAndUnknownHandles) {
   node.Detach(h);
   EXPECT_FALSE(node.IsAttached(h));
   EXPECT_THROW(node.Detach(h), util::CheckError);
+}
+
+TEST(EdgeNode, BadFrameMidSpanLeavesNoState) {
+  const video::SyntheticDataset ds(SmallSpec(6, 18));
+  const auto run = [&](bool with_bad_span) {
+    dnn::FeatureExtractor fx({.include_classifier = false});
+    EdgeNode node(fx, MakeConfig(ds.spec()));
+    ResultCollector rc;
+    AttachCollected(node, rc,
+                    MakeMicroclassifier("windowed",
+                                        {.name = "w", .tap = dnn::kMidTap},
+                                        fx, ds.spec().height,
+                                        ds.spec().width));
+    std::vector<video::Frame> frames;
+    for (std::int64_t t = 0; t < ds.n_frames(); ++t) {
+      frames.push_back(ds.RenderFrame(t));
+    }
+    const std::span<const video::Frame> all(frames);
+    node.Submit(all.subspan(0, 3));
+    if (with_bad_span) {
+      const std::size_t processed = static_cast<std::size_t>(
+          node.frames_processed());
+      const std::size_t pending = node.pending_frames();
+      const std::size_t decided = rc.result().decisions.size();
+      const std::int64_t offered = node.fleet_stats().frames_offered;
+      EXPECT_GT(pending, 0u);  // the windowed tenant lags: state to protect
+      // Two good frames, then one of the wrong geometry at index 2.
+      const std::vector<video::Frame> bad = {frames[3], frames[4],
+                                             video::Frame(8, 8)};
+      EXPECT_THROW(node.Submit(bad), util::CheckError);
+      EXPECT_EQ(static_cast<std::size_t>(node.frames_processed()), processed);
+      EXPECT_EQ(node.pending_frames(), pending);
+      EXPECT_EQ(rc.result().decisions.size(), decided);
+      // Nothing of the span reached the fleet: no frame offered or queued.
+      const FleetStats fs = node.fleet_stats();
+      EXPECT_EQ(fs.frames_offered, offered);
+      EXPECT_EQ(fs.streams.size(), 1u);
+      EXPECT_EQ(fs.streams.at(0).queue_depth, 0);
+    }
+    node.Submit(all.subspan(3));
+    node.Drain();
+    return rc.result();
+  };
+  // The rejected span left no trace: the stream continues exactly as if it
+  // had never been submitted.
+  const McResult clean = run(false);
+  const McResult after_bad = run(true);
+  EXPECT_EQ(clean.scores, after_bad.scores);
+  EXPECT_EQ(clean.decisions, after_bad.decisions);
+  EXPECT_EQ(clean.events.size(), after_bad.events.size());
+  EXPECT_EQ(after_bad.decisions.size(),
+            static_cast<std::size_t>(ds.n_frames()));
 }
 
 TEST(EdgeNode, DrainedNodeRefusesFurtherWork) {

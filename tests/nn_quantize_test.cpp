@@ -295,7 +295,7 @@ TEST(QuantizedExtractor, TrunkCloseToFloatAndAutoCalibrates) {
   qfx.RequestTap(dnn::kMidTap);
 
   const Tensor frames = TinyFrames(2, 91);
-  const Tensor& ref = fx.Extract(frames).at(dnn::kMidTap);
+  const Tensor ref = fx.Extract(frames).at(dnn::kMidTap);
   const Tensor got = qfx.Extract(frames).at(dnn::kMidTap);  // auto-calibrates
   EXPECT_TRUE(qfx.quantized_ready());
   ASSERT_EQ(ref.shape(), got.shape());

@@ -72,7 +72,7 @@ using kernels::ForEachPlaneBlock;
 
 Conv2D::Conv2D(std::string name, std::int64_t in_c, std::int64_t out_c,
                std::int64_t k, std::int64_t stride, Padding pad)
-    : Layer(std::move(name)),
+    : ComputeLayer(std::move(name)),
       in_c_(in_c),
       out_c_(out_c),
       k_(k),
@@ -96,9 +96,9 @@ Shape Conv2D::OutputShape(const Shape& in) const {
   return Shape{in.n, out_c_, gy.out, gx.out};
 }
 
-Tensor Conv2D::Forward(const TensorView& in) {
+void Conv2D::ForwardInto(const TensorView& in, Tensor& out, FusedAct act) {
   const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+  out.Reset(out_shape);
   const AxisGeometry gy = ComputeAxisGeometry(in.shape().h, k_, stride_, pad_);
   const AxisGeometry gx = ComputeAxisGeometry(in.shape().w, k_, stride_, pad_);
   const std::int64_t ih = in.shape().h, iw = in.shape().w;
@@ -154,6 +154,7 @@ Tensor Conv2D::Forward(const TensorView& in) {
                           op + r * run, run);
         }
       }
+      ApplyAct(act, out.plane(n, oc0), (oc1 - oc0) * oh * ow);
       return;
     }
     // General KxK path: scalar weight broadcast over a row axpy, blocked
@@ -233,6 +234,7 @@ Tensor Conv2D::Forward(const TensorView& in) {
         }
       }
     }
+    ApplyAct(act, out.plane(n, oc0), (oc1 - oc0) * oh * ow);
   };
 
   const std::int64_t flops_per_oc = 2 * oh * ow * in_c_ * k_ * k_;
@@ -240,7 +242,6 @@ Tensor Conv2D::Forward(const TensorView& in) {
                     flops_per_oc * out_c_ * in.shape().n, compute_oc_block);
 
   if (training_) saved_in_ = in.Materialize();  // copy: needed for dW
-  return out;
 }
 
 Tensor Conv2D::Backward(const Tensor& grad_out) {
@@ -343,7 +344,7 @@ std::uint64_t Conv2D::Macs(const Shape& in) const {
 DepthwiseConv2D::DepthwiseConv2D(std::string name, std::int64_t channels,
                                  std::int64_t k, std::int64_t stride,
                                  Padding pad)
-    : Layer(std::move(name)),
+    : ComputeLayer(std::move(name)),
       c_(channels),
       k_(k),
       stride_(stride),
@@ -365,9 +366,10 @@ Shape DepthwiseConv2D::OutputShape(const Shape& in) const {
   return Shape{in.n, c_, gy.out, gx.out};
 }
 
-Tensor DepthwiseConv2D::Forward(const TensorView& in) {
+void DepthwiseConv2D::ForwardInto(const TensorView& in, Tensor& out,
+                                  FusedAct act) {
   const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+  out.Reset(out_shape);
   const AxisGeometry gy = ComputeAxisGeometry(in.shape().h, k_, stride_, pad_);
   const AxisGeometry gx = ComputeAxisGeometry(in.shape().w, k_, stride_, pad_);
   const std::int64_t ih = in.shape().h, iw = in.shape().w;
@@ -408,12 +410,12 @@ Tensor DepthwiseConv2D::Forward(const TensorView& in) {
         }
       }
     }
+    ApplyAct(act, out.plane(n, c0), (c1 - c0) * oh * ow);
   };
 
   ForEachPlaneBlock(in.shape().n, c_,
                     2 * oh * ow * k_ * k_ * c_ * in.shape().n, compute_c);
   if (training_) saved_in_ = in.Materialize();
-  return out;
 }
 
 Tensor DepthwiseConv2D::Backward(const Tensor& grad_out) {

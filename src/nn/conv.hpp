@@ -23,13 +23,13 @@ AxisGeometry ComputeAxisGeometry(std::int64_t in, std::int64_t k,
                                  std::int64_t s, Padding pad);
 
 // Standard convolution; weight layout [out_c][in_c][k][k], plus bias[out_c].
-class Conv2D : public Layer {
+class Conv2D : public ComputeLayer {
  public:
   Conv2D(std::string name, std::int64_t in_c, std::int64_t out_c,
          std::int64_t k, std::int64_t stride, Padding pad);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Forward(const TensorView& in) override;
+  void ForwardInto(const TensorView& in, Tensor& out, FusedAct act) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<ParamView> Params() override;
   std::uint64_t Macs(const Shape& in) const override;
@@ -52,13 +52,13 @@ class Conv2D : public Layer {
 };
 
 // Depthwise convolution (depth multiplier 1); weight layout [c][k][k].
-class DepthwiseConv2D : public Layer {
+class DepthwiseConv2D : public ComputeLayer {
  public:
   DepthwiseConv2D(std::string name, std::int64_t channels, std::int64_t k,
                   std::int64_t stride, Padding pad);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Forward(const TensorView& in) override;
+  void ForwardInto(const TensorView& in, Tensor& out, FusedAct act) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<ParamView> Params() override;
   std::uint64_t Macs(const Shape& in) const override;

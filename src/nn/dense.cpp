@@ -7,7 +7,7 @@ namespace ff::nn {
 
 FullyConnected::FullyConnected(std::string name, std::int64_t in_dim,
                                std::int64_t units)
-    : Layer(std::move(name)),
+    : ComputeLayer(std::move(name)),
       in_dim_(in_dim),
       units_(units),
       w_(static_cast<std::size_t>(in_dim * units), 0.0f),
@@ -25,9 +25,9 @@ Shape FullyConnected::OutputShape(const Shape& in) const {
   return Shape{in.n, units_, 1, 1};
 }
 
-Tensor FullyConnected::Forward(const TensorView& in) {
-  const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+void FullyConnected::ForwardInto(const TensorView& in, Tensor& out,
+                                 FusedAct act) {
+  out.Reset(OutputShape(in.shape()));
   // The dot products need each image as one dense run; views arriving here
   // are virtually always dense already (FCs follow materializing layers).
   Tensor staged;
@@ -42,6 +42,7 @@ Tensor FullyConnected::Forward(const TensorView& in) {
         y[u] = static_cast<float>(b_[static_cast<std::size_t>(u)] +
                                   kernels::Dot(wrow, x, in_dim_));
       }
+      ApplyAct(act, y + u0, u1 - u0);
     };
     // The MC heads are tiny (200x1); dispatching those to the pool costs
     // more than the dot products themselves.
@@ -57,7 +58,6 @@ Tensor FullyConnected::Forward(const TensorView& in) {
   }
   if (training_) saved_in_ = in.contiguous() ? in.Materialize()
                                              : std::move(staged);
-  return out;
 }
 
 Tensor FullyConnected::Backward(const Tensor& grad_out) {

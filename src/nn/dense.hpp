@@ -7,12 +7,12 @@ namespace ff::nn {
 
 // Treats each batch image as a flat vector of in_dim floats and produces
 // `units` outputs, shaped (n, units, 1, 1). Weight layout [units][in_dim].
-class FullyConnected : public Layer {
+class FullyConnected : public ComputeLayer {
  public:
   FullyConnected(std::string name, std::int64_t in_dim, std::int64_t units);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Forward(const TensorView& in) override;
+  void ForwardInto(const TensorView& in, Tensor& out, FusedAct act) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<ParamView> Params() override;
   std::uint64_t Macs(const Shape& in) const override;

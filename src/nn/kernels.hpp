@@ -79,6 +79,9 @@ struct OpTable {
   // Returns sum_i a[i]*b[i] under the pinned 8-lane double scheme above.
   double (*dot)(const float* a, const float* b, std::int64_t n);
   // y[i] = max(x[i], 0)   (NaN -> 0, matching `v > 0 ? v : 0`)
+  // relu and relu6 may run in place (y == x): the compute layers' fused
+  // epilogue applies them to a finished output block that way. Partially
+  // overlapping x and y are not supported.
   void (*relu)(const float* x, float* y, std::int64_t n);
   // y[i] = min(max(x[i], 0), 6)
   void (*relu6)(const float* x, float* y, std::int64_t n);

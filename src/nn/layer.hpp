@@ -14,6 +14,9 @@
 //    be applied several times per step) and returns the input gradient.
 //  * Macs() implements the multiply-add formulas of paper §4.5; Fig. 7's
 //    x-axis is produced by these, not by timing.
+//  * Compute layers (ComputeLayer below) also have ForwardInto(), which
+//    writes into caller-owned storage and applies a trailing ReLU/ReLU6 in
+//    the layer's own epilogue. Sequential's inference forward runs on it.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_view.hpp"
 
@@ -80,5 +84,39 @@ class Layer {
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+// Activation a compute layer can apply in its own epilogue.
+enum class FusedAct { kNone, kRelu, kRelu6 };
+
+// Conv2D, DepthwiseConv2D and FullyConnected: the compute layers of the
+// fused-op grouping rule (nn::GroupAt) that Sequential and the int8
+// quantizer share.
+class ComputeLayer : public Layer {
+ public:
+  using Layer::Layer;
+
+  // Reshapes `out` to OutputShape(in.shape()) with Tensor::Reset (its
+  // storage is reused when large enough), writes the output into it and
+  // applies `act` in place to each output block on the worker that just
+  // computed it. Every element sees the bias, the taps in order, then the
+  // activation: the op sequence of Forward() followed by a standalone
+  // Activation, so fused and unfused results are bitwise-identical. `out`
+  // must not alias `in`.
+  virtual void ForwardInto(const TensorView& in, Tensor& out,
+                           FusedAct act) = 0;
+
+  Tensor Forward(const TensorView& in) final {
+    Tensor out;
+    ForwardInto(in, out, FusedAct::kNone);
+    return out;
+  }
+
+ protected:
+  // The fused epilogue over one finished output block.
+  static void ApplyAct(FusedAct act, float* y, std::int64_t n) {
+    if (act == FusedAct::kRelu) kernels::Relu(y, y, n);
+    if (act == FusedAct::kRelu6) kernels::Relu6(y, y, n);
+  }
+};
 
 }  // namespace ff::nn

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/kernels.hpp"
 #include "util/check.hpp"
@@ -292,44 +291,23 @@ QTensor RunOp(const QuantOp& op, const QTensor& in, const ActQuant& in_q) {
   return out;
 }
 
-// The fused-op grouping shared by Plan and Quantize: (compute layer index,
-// optional activation index, one-past-last source index).
-struct OpGroup {
-  std::size_t compute = 0;
-  bool fused_act = false;
-  std::size_t end = 0;
-};
-
-std::vector<OpGroup> GroupLayers(Sequential& net) {
-  std::vector<OpGroup> groups;
-  std::size_t i = 0;
-  while (i < net.n_layers()) {
-    Layer* l = &net.layer(i);
-    const bool quantizable = dynamic_cast<Conv2D*>(l) != nullptr ||
-                             dynamic_cast<DepthwiseConv2D*>(l) != nullptr ||
-                             dynamic_cast<FullyConnected*>(l) != nullptr;
-    if (!quantizable) break;
-    OpGroup g;
-    g.compute = i;
-    g.end = i + 1;
-    if (i + 1 < net.n_layers()) {
-      if (auto* act = dynamic_cast<Activation*>(&net.layer(i + 1));
-          act != nullptr &&
-          (act->kind() == ActKind::kRelu || act->kind() == ActKind::kRelu6)) {
-        g.fused_act = true;
-        g.end = i + 2;
-      }
-    }
-    groups.push_back(g);
-    i = g.end;
+// The fused-op groups of the longest quantizable prefix (the GroupAt rule
+// Sequential's float forward follows too), shared by Plan and Quantize.
+std::vector<LayerGroup> GroupLayers(const Sequential& net) {
+  std::vector<LayerGroup> groups;
+  for (std::size_t i = 0; i < net.n_layers();) {
+    const std::optional<LayerGroup> g = GroupAt(net, i);
+    if (!g) break;
+    groups.push_back(*g);
+    i = g->end;
   }
   return groups;
 }
 
-QuantOp PlanOp(Sequential& net, const OpGroup& g) {
+QuantOp PlanOp(Sequential& net, const LayerGroup& g) {
   QuantOp op;
   Layer& l = net.layer(g.compute);
-  op.name = g.fused_act ? net.layer(g.compute + 1).name() : l.name();
+  op.name = net.layer(g.end - 1).name();
   if (auto* conv = dynamic_cast<Conv2D*>(&l)) {
     op.kind = QuantOp::Kind::kConv;
     op.in_c = conv->in_channels();

@@ -1,6 +1,23 @@
 #include "nn/sequential.hpp"
 
+#include "nn/activations.hpp"
+
 namespace ff::nn {
+
+std::optional<LayerGroup> GroupAt(const Sequential& net, std::size_t i) {
+  if (dynamic_cast<const ComputeLayer*>(&net.layer(i)) == nullptr) {
+    return std::nullopt;
+  }
+  LayerGroup g{i, FusedAct::kNone, i + 1};
+  if (i + 1 < net.n_layers()) {
+    if (const auto* a = dynamic_cast<const Activation*>(&net.layer(i + 1))) {
+      if (a->kind() == ActKind::kRelu) g.act = FusedAct::kRelu;
+      if (a->kind() == ActKind::kRelu6) g.act = FusedAct::kRelu6;
+      if (g.act != FusedAct::kNone) g.end = i + 2;
+    }
+  }
+  return g;
+}
 
 Layer& Sequential::Add(LayerPtr layer) {
   FF_CHECK_MSG(index_.find(layer->name()) == index_.end(),
@@ -22,24 +39,16 @@ bool Sequential::Contains(const std::string& layer_name) const {
 
 Tensor Sequential::Forward(const TensorView& in) {
   FF_CHECK(!layers_.empty());
-  Tensor x = layers_[0]->Forward(in);
-  for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->Forward(x);
-  return x;
+  return Run(in, 0, layers_.size(), {}, nullptr);
 }
 
 Tensor Sequential::ForwardTo(const TensorView& in, const std::string& last_layer) {
-  const std::size_t last = IndexOf(last_layer);
-  Tensor x = layers_[0]->Forward(in);
-  for (std::size_t i = 1; i <= last; ++i) x = layers_[i]->Forward(x);
-  return x;
+  return Run(in, 0, IndexOf(last_layer) + 1, {}, nullptr);
 }
 
 Tensor Sequential::ForwardRange(const TensorView& in, std::size_t begin,
                                 std::size_t end) {
-  FF_CHECK(begin < end && end <= layers_.size());
-  Tensor x = layers_[begin]->Forward(in);
-  for (std::size_t i = begin + 1; i < end; ++i) x = layers_[i]->Forward(x);
-  return x;
+  return Run(in, begin, end, {}, nullptr);
 }
 
 std::map<std::string, Tensor> Sequential::ForwardWithTaps(
@@ -48,13 +57,59 @@ std::map<std::string, Tensor> Sequential::ForwardWithTaps(
   std::size_t deepest = 0;
   for (const auto& t : taps) deepest = std::max(deepest, IndexOf(t));
   std::map<std::string, Tensor> out;
-  Tensor x = layers_[0]->Forward(in);
-  if (taps.count(layers_[0]->name())) out[layers_[0]->name()] = x;
-  for (std::size_t i = 1; i <= deepest; ++i) {
-    x = layers_[i]->Forward(x);
-    if (taps.count(layers_[i]->name())) out[layers_[i]->name()] = x;
-  }
+  Run(in, 0, deepest + 1, taps, &out);
   return out;
+}
+
+Tensor Sequential::Run(const TensorView& in, std::size_t begin,
+                       std::size_t end, const std::set<std::string>& taps,
+                       std::map<std::string, Tensor>* tapped) {
+  FF_CHECK(begin < end && end <= layers_.size());
+  FF_CHECK_MSG(!scratch_->busy.exchange(true),
+               name_ << ": concurrent forward on one network");
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false); }
+  } release{scratch_->busy};
+
+  TensorView x = in;
+  Tensor held;    // owns x when the previous output is not a buffer or tap
+  int x_buf = -1;  // the recycled buffer x views, or -1
+  for (std::size_t i = begin; i < end;) {
+    Layer& l = *layers_[i];
+    const std::optional<LayerGroup> g = GroupAt(*this, i);
+    const bool into = g && !l.training();
+    // Fuse only when the activation is in range, in inference mode too, and
+    // the pre-activation output is not itself a requested tap.
+    const bool fuse = into && g->act != FusedAct::kNone && g->end <= end &&
+                      !layers_[i + 1]->training() && taps.count(l.name()) == 0;
+    const FusedAct act = fuse ? g->act : FusedAct::kNone;
+    const std::size_t next = fuse ? g->end : i + 1;
+    const std::string& out_name = layers_[next - 1]->name();
+    const bool tap = taps.count(out_name) > 0;
+    if (into && !tap && next < end) {
+      const int b = x_buf == 0 ? 1 : 0;
+      static_cast<ComputeLayer&>(l).ForwardInto(x, scratch_->bufs[b], act);
+      x = scratch_->bufs[b];
+      x_buf = b;
+    } else {
+      Tensor y;
+      if (into) {
+        static_cast<ComputeLayer&>(l).ForwardInto(x, y, act);
+      } else {
+        y = l.Forward(x);
+      }
+      if (tap) {
+        x = tapped->insert_or_assign(out_name, std::move(y)).first->second;
+      } else {
+        held = std::move(y);
+        x = held;
+      }
+      x_buf = -1;
+    }
+    i = next;
+  }
+  return held;
 }
 
 Tensor Sequential::Backward(const Tensor& grad_out) {

@@ -3,9 +3,22 @@
 // The feature extractor uses ForwardWithTaps() to collect intermediate
 // activations (paper §3.1) and stops at the deepest tap it needs, so running
 // microclassifiers fed from conv4_2/sep never pays for conv5/conv6.
+//
+// Every forward entry point runs one walk over (compute layer, optional
+// ReLU/ReLU6) groups (GroupAt). In inference mode the compute layer applies
+// the activation in its own epilogue and writes intermediate outputs into
+// two activation buffers the network recycles across calls, so a
+// steady-state batch allocates nothing per layer. Returned tensors and taps
+// are always freshly owned, never views of those buffers. A layer in
+// training mode runs unfused through Layer::Forward, exactly as a
+// hand-chained forward would. The recycled buffers make one network
+// non-reentrant: a second forward entered while one is running fails with
+// CheckError.
 #pragma once
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -79,9 +92,38 @@ class Sequential {
   std::int64_t ParamCount() const;
 
  private:
+  // The walk behind every forward entry point: runs layers [begin, end) on
+  // `in`, moving each output named in `taps` into `tapped`, and returns the
+  // final output unless that is itself a tap.
+  Tensor Run(const TensorView& in, std::size_t begin, std::size_t end,
+             const std::set<std::string>& taps,
+             std::map<std::string, Tensor>* tapped);
+
+  // The recycled activation buffers and the flag that rejects a concurrent
+  // forward; heap-held so the network stays movable.
+  struct Scratch {
+    Tensor bufs[2];
+    std::atomic<bool> busy{false};
+  };
+
   std::string name_;
   std::vector<LayerPtr> layers_;
   std::map<std::string, std::size_t> index_;
+  std::unique_ptr<Scratch> scratch_ = std::make_unique<Scratch>();
 };
+
+// The fused-op grouping rule shared by Sequential's inference forward (the
+// compute layer applies the activation in its epilogue) and the int8
+// quantizer (the activation folds into the requant clamp): a ComputeLayer,
+// optionally followed by the ReLU/ReLU6 Activation it absorbs.
+struct LayerGroup {
+  std::size_t compute = 0;
+  FusedAct act = FusedAct::kNone;  // the absorbed activation, if any
+  std::size_t end = 0;             // one past the group's last layer
+};
+
+// The group starting at layer `i`; nullopt when layer `i` is not a
+// ComputeLayer.
+std::optional<LayerGroup> GroupAt(const Sequential& net, std::size_t i);
 
 }  // namespace ff::nn

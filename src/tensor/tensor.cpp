@@ -15,7 +15,7 @@ Tensor Tensor::FromData(const Shape& shape, std::vector<float> data) {
   FF_CHECK_EQ(shape.elements(), static_cast<std::int64_t>(data.size()));
   Tensor t;
   t.shape_ = shape;
-  t.data_ = std::move(data);
+  t.data_.assign(data.begin(), data.end());
   return t;
 }
 
@@ -43,6 +43,14 @@ const float* Tensor::plane(std::int64_t n, std::int64_t c) const {
 }
 
 void Tensor::Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
+
+void Tensor::Reset(const Shape& shape) {
+  const auto n = static_cast<std::size_t>(shape.elements());
+  // Free before reallocating so the old and new storage never coexist.
+  if (n > data_.capacity()) decltype(data_)().swap(data_);
+  data_.resize(n);
+  shape_ = shape;
+}
 
 void Tensor::FillNormal(util::Pcg32& rng, float stddev) {
   for (auto& v : data_) v = static_cast<float>(rng.Normal(0.0, stddev));

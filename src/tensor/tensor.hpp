@@ -6,13 +6,33 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/shape.hpp"
 #include "util/rng.hpp"
 
 namespace ff::tensor {
+
+// std::allocator whose value-less construct() default-initializes, so
+// growing float storage leaves the new elements uninitialized instead of
+// zero-filling them. Tensor::Reset relies on this; every other Tensor
+// constructor still fills explicitly.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 class Tensor {
  public:
@@ -39,6 +59,13 @@ class Tensor {
   const float* plane(std::int64_t n, std::int64_t c) const;
 
   void Fill(float v);
+
+  // Re-shapes in place for a caller that overwrites every element: the
+  // storage is kept when it can hold `shape` (never shrunk), else replaced.
+  // Element values are unspecified afterwards. This is what lets a forward
+  // pass recycle activation buffers (Sequential) without an allocation or a
+  // zero-fill per layer.
+  void Reset(const Shape& shape);
 
   // Fills with N(0, stddev) noise from `rng`.
   void FillNormal(util::Pcg32& rng, float stddev);
@@ -77,7 +104,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Tensor& t);

@@ -13,13 +13,17 @@ namespace {
 // The pool whose ParallelFor the current thread is executing a chunk of, if
 // any. Guards against nested dispatch onto an already-saturated pool.
 thread_local const ThreadPool* tl_active_pool = nullptr;
+
+// The thread calling ParallelFor runs a chunk too, so one worker fewer than
+// the cores keeps every core busy without oversubscribing them.
+std::size_t DefaultPoolSize() {
+  const std::size_t cores = std::thread::hardware_concurrency();
+  return cores > 1 ? cores - 1 : 1;
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
-  if (n_threads == 0) {
-    n_threads = std::thread::hardware_concurrency();
-    if (n_threads == 0) n_threads = 2;
-  }
+  if (n_threads == 0) n_threads = DefaultPoolSize();
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

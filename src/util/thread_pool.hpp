@@ -111,7 +111,9 @@ class BoundedQueue {
 
 class ThreadPool {
  public:
-  // n_threads == 0 means "use hardware concurrency".
+  // n_threads == 0 means hardware concurrency minus one (at least 1): the
+  // thread calling ParallelFor runs a chunk itself, so that many workers
+  // fill the cores without oversubscribing them.
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
@@ -143,7 +145,7 @@ class ThreadPool {
 };
 
 // Process-wide pool shared by all NN kernels. Sized from FF_NUM_THREADS if
-// set, otherwise hardware concurrency.
+// set, otherwise like ThreadPool(0).
 ThreadPool& GlobalPool();
 
 }  // namespace ff::util

@@ -231,6 +231,35 @@ TEST(KernelParity, ReluAndRelu6WithSpecials) {
   }
 }
 
+// In place (y == x) is how the conv epilogue calls relu/relu6, so every ISA
+// the host supports, the scalar reference included, must match the
+// out-of-place scalar result there too.
+TEST(KernelParity, ReluAndRelu6InPlace) {
+  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+    const OpTable* table = TableFor(isa);
+    if (table == nullptr) continue;
+    for (const std::int64_t n : kLengths) {
+      auto x = RandomFloats(static_cast<std::size_t>(n) + 1, 73);
+      if (n > 6) {
+        x[4] = std::numeric_limits<float>::quiet_NaN();
+        x[5] = std::numeric_limits<float>::infinity();
+        x[6] = -std::numeric_limits<float>::infinity();
+      }
+      std::vector<float> want(x.size(), -9.0f);
+      for (const bool six : {false, true}) {
+        auto kernel = six ? &OpTable::relu6 : &OpTable::relu;
+        // +1 offset makes the in-place base deliberately unaligned.
+        (scalar::Table().*kernel)(x.data() + 1, want.data() + 1, n);
+        std::vector<float> y = x;
+        (table->*kernel)(y.data() + 1, y.data() + 1, n);
+        ASSERT_EQ(0, std::memcmp(want.data() + 1, y.data() + 1,
+                                 static_cast<std::size_t>(n) * sizeof(float)))
+            << IsaName(isa) << (six ? " relu6" : " relu") << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(KernelParity, SadU8AndSad16x16) {
   SKIP_WITHOUT_SIMD();
   util::Pcg32 rng(81);

@@ -1,9 +1,14 @@
 // Forward-path tests for the NN engine: convolution correctness against a
 // naive reference, padding geometry, activations, pooling, FC, sequential
-// plumbing, MAC formulas, serialization.
+// plumbing (fused activations, recycled buffers, the re-entrancy check), MAC
+// formulas, serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
+#include <mutex>
+#include <thread>
 
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
@@ -254,6 +259,178 @@ TEST(Sequential, ForwardRangeComposesToFullForward) {
   const Tensor a = net.ForwardRange(in, 0, 2);
   const Tensor b = net.ForwardRange(a, 2, 3);
   EXPECT_TRUE(Tensor::AllClose(b, net.Forward(in), 1e-6f));
+}
+
+// Hand-chained Layer::Forward over layers [begin, end): the unfused,
+// allocate-per-layer reference the Sequential forward must match bitwise.
+Tensor ChainForward(Sequential& net, const TensorView& in, std::size_t begin,
+                    std::size_t end) {
+  Tensor x = net.layer(begin).Forward(in);
+  for (std::size_t i = begin + 1; i < end; ++i) x = net.layer(i).Forward(x);
+  return x;
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.elements()) * sizeof(float)) ==
+             0;
+}
+
+// Every fusable pattern of the trunk and the MC heads: 3x3 conv at stride 1
+// and 2 -> ReLU, depthwise -> ReLU6, pointwise -> ReLU, then a trailing
+// sigmoid. Random biases make the activations clip mid-range values.
+Sequential FusionNet() {
+  Sequential net("fuse");
+  net.Add(std::make_unique<Conv2D>("c1/conv", 3, 8, 3, 1, Padding::kSameCeil));
+  net.Add(MakeRelu("c1"));
+  net.Add(std::make_unique<Conv2D>("c2/conv", 8, 12, 3, 2, Padding::kSameFloor));
+  net.Add(MakeRelu("c2"));
+  net.Add(std::make_unique<DepthwiseConv2D>("c3/dw/conv", 12, 3, 1,
+                                            Padding::kSameCeil));
+  net.Add(MakeRelu6("c3/dw"));
+  net.Add(std::make_unique<Conv2D>("c3/sep/conv", 12, 16, 1, 1,
+                                   Padding::kSameCeil));
+  net.Add(MakeRelu("c3/sep"));
+  net.Add(std::make_unique<Conv2D>("head", 16, 1, 1, 1, Padding::kSameCeil));
+  net.Add(MakeSigmoid("prob"));
+  HeInit(net, 21);
+  util::Pcg32 rng(22);
+  for (auto& p : net.Params()) {
+    if (p.name.ends_with("/bias")) {
+      for (auto& v : *p.value) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+  }
+  return net;
+}
+
+TEST(Sequential, FusedRecycledForwardMatchesHandChainedLayers) {
+  Sequential net = FusionNet();
+  const std::size_t n = net.n_layers();
+  const std::size_t c2 = net.IndexOf("c2");
+  util::Pcg32 rng(23);
+  // A cropped (strided) view at batch 3, a second geometry, then the first
+  // again: stale contents of the recycled buffers would show on the rerun.
+  Tensor frame(Shape{3, 3, 30, 40});
+  frame.FillUniform(rng, -4.0f, 4.0f);
+  const TensorView crop = TensorView(frame).CropHW(tensor::Rect{3, 5, 25, 34});
+  Tensor other(Shape{3, 3, 17, 13});
+  other.FillUniform(rng, -4.0f, 4.0f);
+  for (const TensorView& in : {crop, TensorView(other), crop}) {
+    const Tensor want = ChainForward(net, in, 0, n);
+    const Tensor pre = ChainForward(net, in, 0, c2);  // ends on c2/conv
+    const Tensor kept = net.Forward(in);
+    EXPECT_TRUE(BitwiseEqual(kept, want));
+    EXPECT_TRUE(BitwiseEqual(net.ForwardTo(in, "c3/sep"),
+                             ChainForward(net, in, 0, n - 2)));
+    // Range ends that split a (conv, ReLU) group must not fuse across them.
+    EXPECT_TRUE(BitwiseEqual(net.ForwardRange(in, 0, c2), pre));
+    EXPECT_TRUE(BitwiseEqual(net.ForwardRange(pre, c2, n), want));
+
+    // A tap on the pre-activation c2/conv keeps that conv unfused.
+    const auto taps = net.ForwardWithTaps(in, {"c2/conv", "c2", "c3/dw"});
+    EXPECT_TRUE(BitwiseEqual(taps.at("c2/conv"), pre));
+    EXPECT_LT(taps.at("c2/conv").Min(), 0.0f);
+    EXPECT_TRUE(BitwiseEqual(taps.at("c2"), ChainForward(net, in, 0, c2 + 1)));
+    EXPECT_TRUE(BitwiseEqual(taps.at("c3/dw"),
+                             ChainForward(net, in, 0, net.IndexOf("c3/dw") + 1)));
+    EXPECT_EQ(taps.at("c3/dw").Max(), 6.0f);  // ReLU6 really clipped
+
+    // Returned tensors are owned: a later forward leaves them untouched.
+    (void)net.Forward(other);
+    EXPECT_TRUE(BitwiseEqual(kept, want));
+    EXPECT_TRUE(BitwiseEqual(taps.at("c2/conv"), pre));
+  }
+}
+
+TEST(Sequential, TrainingModeForwardAndBackwardUnchanged) {
+  Sequential net = FusionNet();
+  Sequential ref = FusionNet();
+  net.SetTraining(true);
+  ref.SetTraining(true);
+  Tensor in(Shape{2, 3, 12, 10});
+  util::Pcg32 rng(24);
+  in.FillUniform(rng, -4.0f, 4.0f);
+  const Tensor y = net.Forward(in);
+  EXPECT_TRUE(BitwiseEqual(y, ChainForward(ref, in, 0, ref.n_layers())));
+
+  Tensor g(y.shape());
+  g.FillNormal(rng, 1.0f);
+  const Tensor dx = net.Backward(g);
+  Tensor dx_ref = g;
+  for (std::size_t i = ref.n_layers(); i-- > 0;) {
+    dx_ref = ref.layer(i).Backward(dx_ref);
+  }
+  EXPECT_TRUE(BitwiseEqual(dx, dx_ref));
+  const auto p = net.Params();
+  const auto p_ref = ref.Params();
+  ASSERT_EQ(p.size(), p_ref.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(*p[i].grad, *p_ref[i].grad) << p[i].name;
+  }
+}
+
+// Identity layer whose first Forward parks until the test releases it, so a
+// second forward can be attempted while the first is in flight. Later calls
+// pass straight through, so a missing check fails the test instead of
+// hanging it.
+class ParkingLayer : public Layer {
+ public:
+  ParkingLayer() : Layer("park") {}
+  Shape OutputShape(const Shape& in) const override { return in; }
+  Tensor Forward(const TensorView& in) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (calls_++ == 0) {
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return in.Materialize();
+  }
+  Tensor Backward(const Tensor& g) override { return g; }
+  std::uint64_t Macs(const Shape&) const override { return 0; }
+
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return calls_ > 0; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int calls_ = 0;
+  bool released_ = false;
+};
+
+TEST(Sequential, ConcurrentForwardOnOneNetworkFails) {
+  Sequential net("t");
+  auto& park = static_cast<ParkingLayer&>(
+      net.Add(std::make_unique<ParkingLayer>()));
+  net.Add(std::make_unique<Conv2D>("c", 1, 2, 1, 1, Padding::kSameCeil));
+  const Tensor in(Shape{1, 1, 4, 4}, 1.0f);
+
+  Tensor first;
+  std::thread holder([&] { first = net.Forward(in); });
+  park.WaitParked();
+  bool rejected = false;
+  std::thread second([&] {
+    try {
+      (void)net.ForwardWithTaps(in, {"c"});
+    } catch (const util::CheckError&) {
+      rejected = true;
+    }
+  });
+  second.join();
+  park.Release();
+  holder.join();
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(first.shape(), (Shape{1, 2, 4, 4}));
+  // Once the first forward has returned the network runs again.
+  EXPECT_NO_THROW((void)net.Forward(in));
 }
 
 TEST(Sequential, DuplicateNamesRejected) {

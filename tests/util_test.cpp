@@ -114,6 +114,17 @@ TEST(ThreadPool, ParallelForRangeCoversExactly) {
   EXPECT_EQ(total.load(), 12345);
 }
 
+// The caller runs a chunk of every ParallelFor, so a default pool starts one
+// worker fewer than the cores (never none).
+TEST(ThreadPool, DefaultSizeLeavesACoreForTheCaller) {
+  const std::size_t cores = std::thread::hardware_concurrency();
+  const std::size_t want = cores > 1 ? cores - 1 : 1;
+  EXPECT_EQ(util::ThreadPool().size(), want);
+  if (std::getenv("FF_NUM_THREADS") == nullptr) {
+    EXPECT_EQ(util::GlobalPool().size(), want);
+  }
+}
+
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   util::ThreadPool pool(2);
   bool called = false;

@@ -109,6 +109,49 @@ void BM_KernelPwAcc4(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelPwAcc4)->Arg(0)->Arg(1);
 
+// The 8-output-channel pointwise tile (8 x 32 pixels in zmm registers on
+// AVX-512; two pw_acc4 calls on the narrower tiers).
+void BM_KernelPwAcc8(benchmark::State& state) {
+  const auto& ops = KernelTable(state.range(0));
+  const std::int64_t n = 960, n_ic = 128;
+  util::Pcg32 rng(14);
+  std::vector<float> xdata(static_cast<std::size_t>(n * n_ic));
+  for (auto& v : xdata) v = rng.NextFloat();
+  std::vector<const float*> xs(static_cast<std::size_t>(n_ic));
+  for (std::int64_t ic = 0; ic < n_ic; ++ic) xs[static_cast<std::size_t>(ic)] = xdata.data() + ic * n;
+  std::vector<float> w(static_cast<std::size_t>(8 * n_ic)), y(static_cast<std::size_t>(8 * n));
+  for (auto& v : w) v = rng.NextFloat();
+  for (auto _ : state) {
+    ops.pw_acc8(xs.data(), n_ic, w.data(), n_ic, y.data(), n, n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2e-9 * static_cast<double>(8 * n_ic * n),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_KernelPwAcc8)->Arg(0)->Arg(1);
+
+// One stride-2 tap over a 64x64 output plane read from a 128-wide input,
+// the shape of a stride-2 depthwise layer's inner call.
+void BM_KernelAxpyRowsS2(benchmark::State& state) {
+  const auto& ops = KernelTable(state.range(0));
+  const std::int64_t rows = 64, n = 64, x_stride = 2 * 128;
+  util::Pcg32 rng(15);
+  std::vector<float> x(static_cast<std::size_t>(rows * x_stride)),
+      y(static_cast<std::size_t>(rows * n));
+  for (auto& v : x) v = rng.NextFloat();
+  for (auto _ : state) {
+    ops.axpy_rows_s2(0.7f, x.data(), x_stride, y.data(), n, rows, n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2e-9 * static_cast<double>(rows * n),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_KernelAxpyRowsS2)->Arg(0)->Arg(1);
+
 void BM_KernelSad16x16(benchmark::State& state) {
   const auto& ops = KernelTable(state.range(0));
   util::Pcg32 rng(13);

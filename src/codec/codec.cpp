@@ -364,6 +364,13 @@ video::Frame Decoder::DecodeFrame(std::string_view chunk) {
         if (!skip) {
           mv.dx = br.GetSe();
           mv.dy = br.GetSe();
+          // The bounds MotionSearch obeys: the 16x16 luma prediction (and
+          // with it the 8x8 chroma one) stays inside the padded reference.
+          FF_CHECK_MSG(mx + mv.dx >= 0 && mx + mv.dx <= pad_w_ - 16 &&
+                           my + mv.dy >= 0 && my + mv.dy <= pad_h_ - 16,
+                       "motion vector (" << mv.dx << ", " << mv.dy
+                                         << ") at macroblock (" << mx << ", "
+                                         << my << ") leaves the reference");
         }
       }
 

@@ -25,6 +25,29 @@
 
 namespace ff::nn::kernels {
 
+// pw_acc8 for the tiers without an 8-row tile: two pw_acc4 calls, each row
+// bitwise-identical to pw_acc1 by pw_acc4's own contract.
+template <auto PwAcc4Fn>
+void PwAcc8ByQuads(const float* const* x, std::int64_t n_ic, const float* w,
+                   std::int64_t w_stride, float* y, std::int64_t y_stride,
+                   std::int64_t n) {
+  for (std::int64_t k = 0; k < 8; k += 4) {
+    float* yk = y + k * y_stride;
+    PwAcc4Fn(x, n_ic, w + k * w_stride, w_stride, yk, yk + y_stride,
+             yk + 2 * y_stride, yk + 3 * y_stride, n);
+  }
+}
+
+// qpw_acc2/qpw_acc2p for the tiers without a fused pair: the one-channel
+// kernel once per output channel, which is the pair's contract.
+template <auto QAcc1Fn, typename X>
+void QPwAcc2ByOnes(X x, std::int64_t n_ic, const std::int8_t* w0,
+                   const std::int8_t* w1, std::int32_t* acc0,
+                   std::int32_t* acc1, std::int64_t n) {
+  QAcc1Fn(x, n_ic, w0, acc0, n);
+  QAcc1Fn(x, n_ic, w1, acc1, n);
+}
+
 // Scalar reference pieces of the int8 path, shared by every ISA's tail and
 // remainder loops so the bitwise contract holds by construction.
 namespace qdetail {
@@ -162,6 +185,15 @@ void Axpy4Rows(const float* w, const float* x, std::int64_t x_stride,
   }
 }
 
+void AxpyRowsS2(float a, const float* x, std::int64_t x_stride, float* y,
+                std::int64_t y_stride, std::int64_t rows, std::int64_t n) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * x_stride;
+    float* yr = y + r * y_stride;
+    for (std::int64_t i = 0; i < n; ++i) yr[i] += a * xr[2 * i];
+  }
+}
+
 void PwAcc4(const float* const* x, std::int64_t n_ic, const float* w,
             std::int64_t w_stride, float* y0, float* y1, float* y2, float* y3,
             std::int64_t n) {
@@ -256,13 +288,6 @@ void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
   }
 }
 
-void QPwAcc2(const std::uint8_t* const* x, std::int64_t n_ic,
-             const std::int8_t* w0, const std::int8_t* w1, std::int32_t* acc0,
-             std::int32_t* acc1, std::int64_t n) {
-  QPwAcc1(x, n_ic, w0, acc0, n);
-  QPwAcc1(x, n_ic, w1, acc1, n);
-}
-
 void QPwPack(const std::uint8_t* const* x, std::int64_t n_ic,
              std::uint8_t* out, std::int64_t n) {
   const std::int64_t quads = (n_ic + 3) / 4;
@@ -291,13 +316,6 @@ void QPwAcc1P(const std::uint8_t* packed, std::int64_t n_ic,
       acc[i] += qdetail::QPackedPixel(pq + 4 * i, wq);
     }
   }
-}
-
-void QPwAcc2P(const std::uint8_t* packed, std::int64_t n_ic,
-              const std::int8_t* w0, const std::int8_t* w1,
-              std::int32_t* acc0, std::int32_t* acc1, std::int64_t n) {
-  QPwAcc1P(packed, n_ic, w0, acc0, n);
-  QPwAcc1P(packed, n_ic, w1, acc1, n);
 }
 
 void QAxpyRowsS2(std::int32_t w, const std::uint8_t* x,
@@ -336,12 +354,16 @@ void QQuant(const float* x, float inv_scale, float zp, std::uint8_t* y,
   }
 }
 
-constexpr OpTable kTable = {Fill,     Axpy,      Axpy4,    AxpyRows,
-                            Axpy4Rows, PwAcc4,   PwAcc1,   Dot,
-                            Relu,     Relu6,     SadU8,    Sad16x16,
-                            QAxpyRows, QPwAcc1,  QPwAcc2,  QPwPack,
-                            QPwAcc1P, QPwAcc2P,  QAxpyRowsS2, QDot,
-                            QRequant, QDequant,  QQuant};
+constexpr OpTable kTable = {Fill,      Axpy,       Axpy4,     AxpyRows,
+                            Axpy4Rows, AxpyRowsS2, PwAcc4,
+                            PwAcc8ByQuads<PwAcc4>,
+                            PwAcc1,    Dot,        Relu,      Relu6,
+                            SadU8,     Sad16x16,   QAxpyRows, QPwAcc1,
+                            QPwAcc2ByOnes<QPwAcc1, const std::uint8_t* const*>,
+                            QPwPack,   QPwAcc1P,
+                            QPwAcc2ByOnes<QPwAcc1P, const std::uint8_t*>,
+                            QAxpyRowsS2, QDot,     QRequant,  QDequant,
+                            QQuant};
 
 }  // namespace
 
@@ -356,93 +378,6 @@ const OpTable& Table() { return kTable; }
 // ---------------------------------------------------------------------------
 namespace sse2 {
 namespace {
-
-void Fill(float* y, std::int64_t n, float v) {
-  const __m128 vv = _mm_set1_ps(v);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm_storeu_ps(y + i, vv);
-  for (; i < n; ++i) y[i] = v;
-}
-
-void Axpy(float a, const float* x, float* y, std::int64_t n) {
-  const __m128 va = _mm_set1_ps(a);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 vy = _mm_loadu_ps(y + i);
-    _mm_storeu_ps(y + i, _mm_add_ps(vy, _mm_mul_ps(va, _mm_loadu_ps(x + i))));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-void Axpy4(const float* w, const float* x, float* y0, float* y1, float* y2,
-           float* y3, std::int64_t n) {
-  const __m128 w0 = _mm_set1_ps(w[0]), w1 = _mm_set1_ps(w[1]);
-  const __m128 w2 = _mm_set1_ps(w[2]), w3 = _mm_set1_ps(w[3]);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v = _mm_loadu_ps(x + i);
-    _mm_storeu_ps(y0 + i, _mm_add_ps(_mm_loadu_ps(y0 + i), _mm_mul_ps(w0, v)));
-    _mm_storeu_ps(y1 + i, _mm_add_ps(_mm_loadu_ps(y1 + i), _mm_mul_ps(w1, v)));
-    _mm_storeu_ps(y2 + i, _mm_add_ps(_mm_loadu_ps(y2 + i), _mm_mul_ps(w2, v)));
-    _mm_storeu_ps(y3 + i, _mm_add_ps(_mm_loadu_ps(y3 + i), _mm_mul_ps(w3, v)));
-  }
-  for (; i < n; ++i) {
-    const float v = x[i];
-    y0[i] += w[0] * v;
-    y1[i] += w[1] * v;
-    y2[i] += w[2] * v;
-    y3[i] += w[3] * v;
-  }
-}
-
-void AxpyRows(float a, const float* x, std::int64_t x_stride, float* y,
-              std::int64_t y_stride, std::int64_t rows, std::int64_t n) {
-  const __m128 va = _mm_set1_ps(a);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * x_stride;
-    float* yr = y + r * y_stride;
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128 vy = _mm_loadu_ps(yr + i);
-      _mm_storeu_ps(yr + i,
-                    _mm_add_ps(vy, _mm_mul_ps(va, _mm_loadu_ps(xr + i))));
-    }
-    for (; i < n; ++i) yr[i] += a * xr[i];
-  }
-}
-
-void Axpy4Rows(const float* w, const float* x, std::int64_t x_stride,
-               float* y0, float* y1, float* y2, float* y3,
-               std::int64_t y_stride, std::int64_t rows, std::int64_t n) {
-  const __m128 w0 = _mm_set1_ps(w[0]), w1 = _mm_set1_ps(w[1]);
-  const __m128 w2 = _mm_set1_ps(w[2]), w3 = _mm_set1_ps(w[3]);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = x + r * x_stride;
-    float* r0 = y0 + r * y_stride;
-    float* r1 = y1 + r * y_stride;
-    float* r2 = y2 + r * y_stride;
-    float* r3 = y3 + r * y_stride;
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128 v = _mm_loadu_ps(xr + i);
-      _mm_storeu_ps(r0 + i,
-                    _mm_add_ps(_mm_loadu_ps(r0 + i), _mm_mul_ps(w0, v)));
-      _mm_storeu_ps(r1 + i,
-                    _mm_add_ps(_mm_loadu_ps(r1 + i), _mm_mul_ps(w1, v)));
-      _mm_storeu_ps(r2 + i,
-                    _mm_add_ps(_mm_loadu_ps(r2 + i), _mm_mul_ps(w2, v)));
-      _mm_storeu_ps(r3 + i,
-                    _mm_add_ps(_mm_loadu_ps(r3 + i), _mm_mul_ps(w3, v)));
-    }
-    for (; i < n; ++i) {
-      const float v = xr[i];
-      r0[i] += w[0] * v;
-      r1[i] += w[1] * v;
-      r2[i] += w[2] * v;
-      r3[i] += w[3] * v;
-    }
-  }
-}
 
 void PwAcc4(const float* const* x, std::int64_t n_ic, const float* w,
             std::int64_t w_stride, float* y0, float* y1, float* y2, float* y3,
@@ -501,46 +436,11 @@ void PwAcc1(const float* const* x, std::int64_t n_ic, const float* w,
   }
 }
 
-double Dot(const float* a, const float* b, std::int64_t n) {
-  // Lanes (0,1), (2,3), (4,5), (6,7) of the pinned 8-lane scheme.
-  __m128d s01 = _mm_setzero_pd(), s23 = _mm_setzero_pd();
-  __m128d s45 = _mm_setzero_pd(), s67 = _mm_setzero_pd();
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 alo = _mm_loadu_ps(a + i), ahi = _mm_loadu_ps(a + i + 4);
-    const __m128 blo = _mm_loadu_ps(b + i), bhi = _mm_loadu_ps(b + i + 4);
-    s01 = _mm_add_pd(s01, _mm_mul_pd(_mm_cvtps_pd(alo), _mm_cvtps_pd(blo)));
-    s23 = _mm_add_pd(s23, _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(alo, alo)),
-                                     _mm_cvtps_pd(_mm_movehl_ps(blo, blo))));
-    s45 = _mm_add_pd(s45, _mm_mul_pd(_mm_cvtps_pd(ahi), _mm_cvtps_pd(bhi)));
-    s67 = _mm_add_pd(s67, _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(ahi, ahi)),
-                                     _mm_cvtps_pd(_mm_movehl_ps(bhi, bhi))));
-  }
-  alignas(16) double s[8];
-  _mm_store_pd(s + 0, s01);
-  _mm_store_pd(s + 2, s23);
-  _mm_store_pd(s + 4, s45);
-  _mm_store_pd(s + 6, s67);
-  for (int j = 0; i < n; ++i, ++j) {
-    s[j] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-}
-
-void Relu(const float* x, float* y, std::int64_t n) {
-  const __m128 zero = _mm_setzero_ps();
-  std::int64_t i = 0;
-  // max(x, 0): maxps returns the second operand on NaN, so NaN -> 0,
-  // matching the scalar `v > 0 ? v : 0`.
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(y + i, _mm_max_ps(_mm_loadu_ps(x + i), zero));
-  }
-  for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-}
-
 void Relu6(const float* x, float* y, std::int64_t n) {
   const __m128 zero = _mm_setzero_ps();
   const __m128 six = _mm_set1_ps(6.0f);
+  // max(x, 0) first: maxps returns the second operand on NaN, so NaN -> 0,
+  // matching the scalar `v > 0 ? v : 0`.
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
     _mm_storeu_ps(y + i,
@@ -683,13 +583,6 @@ void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
   for (; i < n; ++i) acc[i] += qdetail::QPwPixel(x, 0, n_ic, w, i);
 }
 
-void QPwAcc2(const std::uint8_t* const* x, std::int64_t n_ic,
-             const std::int8_t* w0, const std::int8_t* w1, std::int32_t* acc0,
-             std::int32_t* acc1, std::int64_t n) {
-  QPwAcc1(x, n_ic, w0, acc0, n);
-  QPwAcc1(x, n_ic, w1, acc1, n);
-}
-
 void QPwPack(const std::uint8_t* const* x, std::int64_t n_ic,
              std::uint8_t* out, std::int64_t n) {
   const std::int64_t quads = n_ic / 4;
@@ -767,13 +660,6 @@ void QPwAcc1P(const std::uint8_t* packed, std::int64_t n_ic,
     }
     for (; i < n; ++i) acc[i] += qdetail::QPackedPixel(pq + 4 * i, wqb);
   }
-}
-
-void QPwAcc2P(const std::uint8_t* packed, std::int64_t n_ic,
-              const std::int8_t* w0, const std::int8_t* w1,
-              std::int32_t* acc0, std::int32_t* acc1, std::int64_t n) {
-  QPwAcc1P(packed, n_ic, w0, acc0, n);
-  QPwAcc1P(packed, n_ic, w1, acc1, n);
 }
 
 void QAxpyRowsS2(std::int32_t w, const std::uint8_t* x,
@@ -859,24 +745,6 @@ void QRequant(const std::int32_t* acc, float scale, float bias,
   for (; i < n; ++i) y[i] = qdetail::QRequantOne(acc[i], scale, bias);
 }
 
-void QDequant(const std::uint8_t* x, float scale, std::int32_t zp, float* y,
-              std::int64_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i vzp = _mm_set1_epi32(zp);
-  const __m128 vs = _mm_set1_ps(scale);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    int bits;
-    std::memcpy(&bits, x + i, 4);
-    const __m128i xb = _mm_cvtsi32_si128(bits);
-    const __m128i x32 =
-        _mm_unpacklo_epi16(_mm_unpacklo_epi8(xb, zero), zero);
-    _mm_storeu_ps(y + i,
-                  _mm_mul_ps(_mm_cvtepi32_ps(_mm_sub_epi32(x32, vzp)), vs));
-  }
-  for (; i < n; ++i) y[i] = qdetail::QDequantOne(x[i], scale, zp);
-}
-
 void QQuant(const float* x, float inv_scale, float zp, std::uint8_t* y,
             std::int64_t n) {
   const __m128 vs = _mm_set1_ps(inv_scale);
@@ -897,12 +765,20 @@ void QQuant(const float* x, float inv_scale, float zp, std::uint8_t* y,
   for (; i < n; ++i) y[i] = qdetail::QQuantOne(x[i], inv_scale, zp);
 }
 
-constexpr OpTable kTable = {Fill,     Axpy,      Axpy4,    AxpyRows,
-                            Axpy4Rows, PwAcc4,   PwAcc1,   Dot,
-                            Relu,     Relu6,     SadU8,    Sad16x16,
-                            QAxpyRows, QPwAcc1,  QPwAcc2,  QPwPack,
-                            QPwAcc1P, QPwAcc2P,  QAxpyRowsS2, QDot,
-                            QRequant, QDequant,  QQuant};
+// Entries whose SSE2 copy measured under 1.3x the scalar reference (which
+// the compiler auto-vectorizes), and the stride-2 rows, are the scalar
+// functions.
+constexpr OpTable kTable = {
+    scalar::Fill,   scalar::Axpy, scalar::Axpy4, scalar::AxpyRows,
+    scalar::Axpy4Rows,            scalar::AxpyRowsS2,          PwAcc4,
+    PwAcc8ByQuads<PwAcc4>,        PwAcc1,        scalar::Dot,
+    scalar::Relu,   Relu6,        SadU8,         Sad16x16,
+    QAxpyRows,      QPwAcc1,
+    QPwAcc2ByOnes<QPwAcc1, const std::uint8_t* const*>,
+    QPwPack,        QPwAcc1P,
+    QPwAcc2ByOnes<QPwAcc1P, const std::uint8_t*>,
+    QAxpyRowsS2,    QDot,         QRequant,      scalar::QDequant,
+    QQuant};
 
 }  // namespace
 }  // namespace sse2
@@ -932,31 +808,6 @@ FF_AVX2 void Axpy(float a, const float* x, float* y, std::int64_t n) {
         y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, _mm256_loadu_ps(x + i))));
   }
   for (; i < n; ++i) y[i] += a * x[i];
-}
-
-FF_AVX2 void Axpy4(const float* w, const float* x, float* y0, float* y1,
-                   float* y2, float* y3, std::int64_t n) {
-  const __m256 w0 = _mm256_set1_ps(w[0]), w1 = _mm256_set1_ps(w[1]);
-  const __m256 w2 = _mm256_set1_ps(w[2]), w3 = _mm256_set1_ps(w[3]);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    _mm256_storeu_ps(
-        y0 + i, _mm256_add_ps(_mm256_loadu_ps(y0 + i), _mm256_mul_ps(w0, v)));
-    _mm256_storeu_ps(
-        y1 + i, _mm256_add_ps(_mm256_loadu_ps(y1 + i), _mm256_mul_ps(w1, v)));
-    _mm256_storeu_ps(
-        y2 + i, _mm256_add_ps(_mm256_loadu_ps(y2 + i), _mm256_mul_ps(w2, v)));
-    _mm256_storeu_ps(
-        y3 + i, _mm256_add_ps(_mm256_loadu_ps(y3 + i), _mm256_mul_ps(w3, v)));
-  }
-  for (; i < n; ++i) {
-    const float v = x[i];
-    y0[i] += w[0] * v;
-    y1[i] += w[1] * v;
-    y2[i] += w[2] * v;
-    y3[i] += w[3] * v;
-  }
 }
 
 FF_AVX2 void AxpyRows(float a, const float* x, std::int64_t x_stride,
@@ -1007,6 +858,31 @@ FF_AVX2 void Axpy4Rows(const float* w, const float* x, std::int64_t x_stride,
       r2[i] += w[2] * v;
       r3[i] += w[3] * v;
     }
+  }
+}
+
+// Two overlapping loads: lo = x[0..7] holds x[0,2,4,6] in lanes 0,2,4,6 and
+// hi = x[7..14] holds x[8,10,12,14] in lanes 1,3,5,7, so the last element
+// read is x[14], the last one the 8 outputs use.
+FF_AVX2 void AxpyRowsS2(float a, const float* x, std::int64_t x_stride,
+                        float* y, std::int64_t y_stride, std::int64_t rows,
+                        std::int64_t n) {
+  const __m256 va = _mm256_set1_ps(a);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * x_stride;
+    float* yr = y + r * y_stride;
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const __m256 lo = _mm256_loadu_ps(xr + 2 * i);
+      const __m256 hi = _mm256_loadu_ps(xr + 2 * i + 7);
+      // [x0 x2 x8 x10 | x4 x6 x12 x14], then the 64-bit pairs reordered.
+      const __m256 mix = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 2, 0));
+      const __m256 v = _mm256_castpd_ps(_mm256_permute4x64_pd(
+          _mm256_castps_pd(mix), _MM_SHUFFLE(3, 1, 2, 0)));
+      _mm256_storeu_ps(
+          yr + i, _mm256_add_ps(_mm256_loadu_ps(yr + i), _mm256_mul_ps(va, v)));
+    }
+    for (; i < n; ++i) yr[i] += a * xr[2 * i];
   }
 }
 
@@ -1177,26 +1053,6 @@ FF_AVX2 std::uint32_t SadU8(const std::uint8_t* a, const std::uint8_t* b,
         a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]);
   }
   return sad;
-}
-
-FF_AVX2 std::uint32_t Sad16x16(const std::uint8_t* a, std::int64_t stride_a,
-                               const std::uint8_t* b, std::int64_t stride_b) {
-  // Two 16-byte rows per 256-bit SAD.
-  __m256i acc = _mm256_setzero_si256();
-  for (int y = 0; y < 16; y += 2) {
-    const __m256i va = _mm256_set_m128i(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(a + (y + 1) * stride_a)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + y * stride_a)));
-    const __m256i vb = _mm256_set_m128i(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + (y + 1) * stride_b)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + y * stride_b)));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(va, vb));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  return static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
 }
 
 FF_AVX2 void QAxpyRows(std::int32_t w, const std::uint8_t* x,
@@ -1731,15 +1587,151 @@ FF_AVX2 void QQuant(const float* x, float inv_scale, float zp,
 
 #undef FF_AVX2
 
-constexpr OpTable kTable = {Fill,     Axpy,      Axpy4,    AxpyRows,
-                            Axpy4Rows, PwAcc4,   PwAcc1,   Dot,
-                            Relu,     Relu6,     SadU8,    Sad16x16,
-                            QAxpyRows, QPwAcc1,  QPwAcc2,  QPwPack,
-                            QPwAcc1P, QPwAcc2P,  QAxpyRowsS2, QDot,
-                            QRequant, QDequant,  QQuant};
+// axpy4 and sad16x16 point at the tier below: the AVX2 copies measured no
+// better than 1.3x (axpy4) or no faster (sad16x16) than it.
+constexpr OpTable kTable = {Fill,      Axpy,       scalar::Axpy4, AxpyRows,
+                            Axpy4Rows, AxpyRowsS2, PwAcc4,
+                            PwAcc8ByQuads<PwAcc4>,
+                            PwAcc1,    Dot,        Relu,      Relu6,
+                            SadU8,     sse2::Sad16x16, QAxpyRows, QPwAcc1,
+                            QPwAcc2,   QPwPack,    QPwAcc1P,  QPwAcc2P,
+                            QAxpyRowsS2, QDot,     QRequant,  QDequant,
+                            QQuant};
 
 }  // namespace
 }  // namespace avx2
+
+// ---------------------------------------------------------------------------
+// AVX-512 — gated at runtime by CPUID (AVX-512F, plus AVX2 for the entries
+// it inherits). The table is the AVX2 table with only the entries that gain
+// from 512-bit registers overridden.
+// ---------------------------------------------------------------------------
+namespace avx512 {
+namespace {
+
+#define FF_AVX512 __attribute__((target("avx512f")))
+
+// The low `k` lanes (0 <= k <= 16).
+inline __mmask16 LowLanes(std::int64_t k) {
+  return static_cast<__mmask16>((1u << k) - 1u);
+}
+
+template <bool kMasked>
+FF_AVX512 inline __m512 LoadPs(const float* p, __mmask16 tail) {
+  if constexpr (kMasked) {
+    return _mm512_maskz_loadu_ps(tail, p);
+  } else {
+    return _mm512_loadu_ps(p);
+  }
+}
+
+// One 8-row block of kCols 16-pixel columns starting at pixel i. kMasked
+// loads and stores only the `tail` lanes (one column), so a run may end at
+// the last float of its allocation.
+template <int kCols, bool kMasked>
+FF_AVX512 inline void PwTile8(const float* const* x, std::int64_t n_ic,
+                              const float* w, std::int64_t w_stride, float* y,
+                              std::int64_t y_stride, std::int64_t i,
+                              __mmask16 tail) {
+  __m512 acc[8][kCols];
+#pragma GCC unroll 8
+  for (int k = 0; k < 8; ++k) {
+    for (int c = 0; c < kCols; ++c) {
+      acc[k][c] = LoadPs<kMasked>(y + k * y_stride + i + 16 * c, tail);
+    }
+  }
+  for (std::int64_t ic = 0; ic < n_ic; ++ic) {
+    __m512 v[kCols];
+    for (int c = 0; c < kCols; ++c) {
+      v[c] = LoadPs<kMasked>(x[ic] + i + 16 * c, tail);
+    }
+#pragma GCC unroll 8
+    for (int k = 0; k < 8; ++k) {
+      const __m512 wv = _mm512_set1_ps(w[k * w_stride + ic]);
+      for (int c = 0; c < kCols; ++c) {
+        acc[k][c] = _mm512_add_ps(acc[k][c], _mm512_mul_ps(wv, v[c]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int k = 0; k < 8; ++k) {
+    for (int c = 0; c < kCols; ++c) {
+      float* p = y + k * y_stride + i + 16 * c;
+      if constexpr (kMasked) {
+        _mm512_mask_storeu_ps(p, tail, acc[k][c]);
+      } else {
+        _mm512_storeu_ps(p, acc[k][c]);
+      }
+    }
+  }
+}
+
+// 8 output rows x 32 pixels: 16 zmm accumulators stay in registers across
+// the whole ic loop, then a 16-pixel block and a masked tail.
+FF_AVX512 void PwAcc8(const float* const* x, std::int64_t n_ic,
+                      const float* w, std::int64_t w_stride, float* y,
+                      std::int64_t y_stride, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    PwTile8<2, false>(x, n_ic, w, w_stride, y, y_stride, i, 0);
+  }
+  if (i + 16 <= n) {
+    PwTile8<1, false>(x, n_ic, w, w_stride, y, y_stride, i, 0);
+    i += 16;
+  }
+  if (i < n) {
+    PwTile8<1, true>(x, n_ic, w, w_stride, y, y_stride, i, LowLanes(n - i));
+  }
+}
+
+// vpermt2ps picks the even inputs out of two overlapping loads: lo =
+// x[0..15] and hi = x[15..30], whose odd lanes hold x[16], x[18], ...,
+// x[30]. Loading hi from x+15 rather than x+16 ends the read at x[30], the
+// last element the 16 outputs use; the masked tail reads only x[0..2m-2].
+FF_AVX512 void AxpyRowsS2(float a, const float* x, std::int64_t x_stride,
+                          float* y, std::int64_t y_stride, std::int64_t rows,
+                          std::int64_t n) {
+  const __m512 va = _mm512_set1_ps(a);
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 17, 19,
+                                         21, 23, 25, 27, 29, 31);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * x_stride;
+    float* yr = y + r * y_stride;
+    std::int64_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+      const __m512 v = _mm512_permutex2var_ps(
+          _mm512_loadu_ps(xr + 2 * i), even, _mm512_loadu_ps(xr + 2 * i + 15));
+      _mm512_storeu_ps(
+          yr + i, _mm512_add_ps(_mm512_loadu_ps(yr + i), _mm512_mul_ps(va, v)));
+    }
+    if (i < n) {
+      const std::int64_t span = 2 * (n - i) - 1;  // inputs the tail uses
+      const __mmask16 lo = LowLanes(std::min<std::int64_t>(span, 16));
+      const __mmask16 hi = LowLanes(std::max<std::int64_t>(span - 15, 0));
+      const __mmask16 out = LowLanes(n - i);
+      const __m512 v = _mm512_permutex2var_ps(
+          _mm512_maskz_loadu_ps(lo, xr + 2 * i), even,
+          _mm512_maskz_loadu_ps(hi, xr + 2 * i + 15));
+      _mm512_mask_storeu_ps(yr + i, out,
+                            _mm512_add_ps(_mm512_maskz_loadu_ps(out, yr + i),
+                                          _mm512_mul_ps(va, v)));
+    }
+  }
+}
+
+#undef FF_AVX512
+
+constexpr OpTable Avx512Table() {
+  OpTable t = avx2::kTable;
+  t.axpy_rows_s2 = AxpyRowsS2;
+  t.pw_acc8 = PwAcc8;
+  return t;
+}
+
+constexpr OpTable kTable = Avx512Table();
+
+}  // namespace
+}  // namespace avx512
 
 #endif  // FF_KERNELS_X86
 
@@ -1751,27 +1743,25 @@ namespace {
 
 // Highest ISA the env cap allows; unset means "no cap". An unrecognized
 // value fails loudly — FF_SIMD exists precisely to control parity checks
-// and baseline benchmarks, where a typo silently running AVX2 would
-// invalidate the measurement.
+// and baseline benchmarks, where a typo silently running a wider tier
+// would invalidate the measurement.
 Isa EnvCap() {
   const char* env = std::getenv("FF_SIMD");
-  if (env == nullptr) return Isa::kAvx2;
+  if (env == nullptr) return Isa::kAvx512;
   const std::string s(env);
-  if (s == "scalar") return Isa::kScalar;
-  if (s == "sse2") return Isa::kSse2;
-  FF_CHECK_MSG(s == "avx2", "FF_SIMD=" << s
-                                       << " is not one of scalar/sse2/avx2");
-  return Isa::kAvx2;
+  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+    if (s == IsaName(isa)) return isa;
+  }
+  FF_CHECK_MSG(false, "FF_SIMD=" << s
+                                 << " is not one of scalar/sse2/avx2/avx512");
+  return Isa::kScalar;
 }
 
 Isa DetectIsa() {
   const Isa cap = EnvCap();
-#if FF_KERNELS_X86
-  if (cap >= Isa::kAvx2 && __builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  if (cap >= Isa::kSse2) return Isa::kSse2;  // x86-64 baseline
-#else
-  (void)cap;
-#endif
+  for (const Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kSse2}) {
+    if (cap >= isa && TableFor(isa) != nullptr) return isa;
+  }
   return Isa::kScalar;
 }
 
@@ -1801,6 +1791,8 @@ const char* IsaName(Isa isa) {
       return "sse2";
     case Isa::kAvx2:
       return "avx2";
+    case Isa::kAvx512:
+      return "avx512";
   }
   return "?";
 }
@@ -1814,9 +1806,15 @@ const OpTable* TableFor(Isa isa) {
       return &sse2::kTable;
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") ? &avx2::kTable : nullptr;
+    case Isa::kAvx512:
+      return __builtin_cpu_supports("avx512f") &&
+                     __builtin_cpu_supports("avx2")
+                 ? &avx512::kTable
+                 : nullptr;
 #else
     case Isa::kSse2:
     case Isa::kAvx2:
+    case Isa::kAvx512:
       return nullptr;
 #endif
   }

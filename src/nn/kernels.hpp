@@ -1,18 +1,28 @@
 // Portable SIMD micro-kernel library — the arithmetic core under every hot
-// path: the base DNN's convolutions (axpy/axpy4), the MCs' fully-connected
-// heads (dot), activations (relu/relu6), bias broadcast (fill), and the
-// codec's motion search (u8 SAD).
+// path: the base DNN's convolutions (axpy/axpy4, the pointwise tiles, the
+// stride-2 row kernel), the MCs' fully-connected heads (dot),
+// activations (relu/relu6), bias broadcast (fill), and the codec's motion
+// search (u8 SAD).
 //
 // Contract: every kernel has one *reference* implementation (namespace
-// `scalar`) and zero or more SIMD implementations (SSE2, AVX2) selected at
-// startup by compile-time support ∩ runtime CPUID ∩ the FF_SIMD env cap.
-// All implementations of a kernel are BITWISE-IDENTICAL for every input:
+// `scalar`) and zero or more SIMD implementations selected at startup by
+// compile-time support ∩ runtime CPUID ∩ the FF_SIMD env cap. The tiers are
+// scalar, sse2 (x86-64 baseline), avx2 and avx512 (AVX-512F; its table is
+// the avx2 table with pw_acc8 and axpy_rows_s2 overridden). FF_SIMD takes
+// exactly those four names; anything else fails loudly. A tier entry that
+// does not beat its fallback by 1.3x points at the fallback's function
+// instead of carrying a copy. All implementations of a kernel are
+// BITWISE-IDENTICAL for every input:
 //
-//  * axpy/axpy4/fill/relu/relu6 are elementwise IEEE single ops, so lane
-//    width cannot change results. The SIMD paths use separate multiply and
-//    add (never FMA), matching the scalar fallback, and kernels.cpp is
-//    compiled with -ffp-contract=off so the compiler cannot contract the
-//    scalar reference into FMA either (see src/CMakeLists.txt).
+//  * axpy/axpy4/axpy_rows_s2/fill/relu/relu6 are elementwise IEEE single
+//    ops, so lane width cannot change results. The SIMD paths use separate
+//    multiply and add (never FMA), matching the scalar fallback, and
+//    kernels.cpp is compiled with -ffp-contract=off so the compiler cannot
+//    contract the scalar reference into FMA either (see src/CMakeLists.txt).
+//  * pw_acc1/pw_acc4/pw_acc8 fold each output element over the input
+//    channels in ascending ic order, one `y = y + w*x` (mul, then add) per
+//    channel starting from the y already in memory — the same per-element
+//    sequence at every tile width.
 //  * dot is a reduction, so its accumulation order is pinned by spec:
 //    8 double-precision partial sums by index mod 8, combined as
 //    ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). Scalar and SIMD implement the
@@ -25,6 +35,11 @@
 //    per-kernel comments for which indices pair up). The float boundaries
 //    use separate mul/add plus round-to-nearest-even (cvtps semantics), so
 //    every ISA — including the scalar reference — produces identical bytes.
+//
+// No over-read: the float kernels touch only the elements their contract
+// names (a masked or scalar tail finishes each run), so a run may end at
+// the last byte of its allocation. The one exception is qaxpy_rows_s2,
+// whose callers keep slack bytes mapped past the last row.
 //
 // nn_kernels_test pins the parity for every kernel on every ISA the host
 // supports, at awkward lengths (0, 1, vector-width±1, unaligned, strided),
@@ -39,8 +54,9 @@
 namespace ff::nn::kernels {
 
 // Instruction sets in increasing capability order. kScalar is always
-// available; on x86-64 kSse2 is too (baseline); kAvx2 needs CPUID.
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+// available; on x86-64 kSse2 is too (baseline); kAvx2 and kAvx512 need
+// CPUID (AVX2, and AVX-512F plus AVX2).
+enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 const char* IsaName(Isa isa);
 
@@ -64,6 +80,12 @@ struct OpTable {
   void (*axpy4_rows)(const float* w, const float* x, std::int64_t x_stride,
                      float* y0, float* y1, float* y2, float* y3,
                      std::int64_t y_stride, std::int64_t rows, std::int64_t n);
+  // Stride-2 axpy_rows, the taps of every stride-2 KxK and depthwise conv:
+  // y[r*y_stride + i] += a * x[r*x_stride + 2*i], one mul then one add per
+  // element. Row r reads nothing past x[r*x_stride + 2*(n-1)].
+  void (*axpy_rows_s2)(float a, const float* x, std::int64_t x_stride,
+                       float* y, std::int64_t y_stride, std::int64_t rows,
+                       std::int64_t n);
   // The pointwise-conv workhorse: yk[i] += sum_ic w[k*w_stride + ic] *
   // x[ic][i], accumulated in registers across the whole ic loop (one y
   // read/write per element instead of one per input channel). Per element
@@ -73,6 +95,12 @@ struct OpTable {
   void (*pw_acc4)(const float* const* x, std::int64_t n_ic, const float* w,
                   std::int64_t w_stride, float* y0, float* y1, float* y2,
                   float* y3, std::int64_t n);
+  // Eight output channels: row k (y + k*y_stride, weights w + k*w_stride)
+  // is bitwise-identical to pw_acc1 on that row. The AVX-512 tile holds
+  // 8 rows x 32 pixels in registers across the whole ic loop.
+  void (*pw_acc8)(const float* const* x, std::int64_t n_ic, const float* w,
+                  std::int64_t w_stride, float* y, std::int64_t y_stride,
+                  std::int64_t n);
   // Single-row variant for the output-channel remainder (w indexed w[ic]).
   void (*pw_acc1)(const float* const* x, std::int64_t n_ic, const float* w,
                   float* y, std::int64_t n);
@@ -170,7 +198,7 @@ struct OpTable {
 const OpTable* TableFor(Isa isa);
 
 // Highest supported ISA, capped by the FF_SIMD env var ("scalar", "sse2",
-// "avx2"); resolved once on first use.
+// "avx2", "avx512"); resolved once on first use.
 Isa ActiveIsa();
 
 // The active table (never nullptr).
@@ -208,6 +236,16 @@ inline void Axpy4Rows(const float* w, const float* x, std::int64_t x_stride,
                       std::int64_t y_stride, std::int64_t rows,
                       std::int64_t n) {
   Active().axpy4_rows(w, x, x_stride, y0, y1, y2, y3, y_stride, rows, n);
+}
+inline void AxpyRowsS2(float a, const float* x, std::int64_t x_stride,
+                       float* y, std::int64_t y_stride, std::int64_t rows,
+                       std::int64_t n) {
+  Active().axpy_rows_s2(a, x, x_stride, y, y_stride, rows, n);
+}
+inline void PwAcc8(const float* const* x, std::int64_t n_ic, const float* w,
+                   std::int64_t w_stride, float* y, std::int64_t y_stride,
+                   std::int64_t n) {
+  Active().pw_acc8(x, n_ic, w, w_stride, y, y_stride, n);
 }
 inline void PwAcc4(const float* const* x, std::int64_t n_ic, const float* w,
                    std::int64_t w_stride, float* y0, float* y1, float* y2,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "codec/bitstream.hpp"
 #include "codec/codec.hpp"
@@ -239,6 +240,42 @@ TEST(Codec, DecoderRejectsPFrameWithoutReference) {
   const std::string p_chunk = enc.EncodeFrame(TestPattern(48, 32, 1));
   Decoder fresh(48, 32);
   EXPECT_THROW(fresh.DecodeFrame(p_chunk), util::CheckError);
+}
+
+// A P-frame chunk is untrusted input: a motion vector that would read the
+// prediction from outside the padded reference must be refused before any
+// block is fetched, and the refusal must leave the reference intact.
+TEST(Codec, DecoderRejectsOutOfFrameMotionVector) {
+  EncoderConfig cfg{.width = 48, .height = 32};
+  cfg.gop_size = 100;
+  Encoder enc(cfg);
+  const std::string i_chunk = enc.EncodeFrame(TestPattern(48, 32, 0));
+  const std::string p_chunk = enc.EncodeFrame(TestPattern(48, 32, 1));
+  ASSERT_FALSE(enc.last_stats().is_iframe);
+  Decoder dec(48, 32);
+  Decoder clean(48, 32);
+  dec.DecodeFrame(i_chunk);
+  clean.DecodeFrame(i_chunk);
+
+  // First macroblock (0, 0): P-frame header, then "coded" with (dx, dy).
+  auto p_frame_with_mv = [](std::int32_t dx, std::int32_t dy) {
+    BitWriter bw;
+    bw.PutBit(0);       // P-frame
+    bw.PutBits(20, 6);  // qp
+    bw.PutBit(0);       // not skipped
+    bw.PutSe(dx);
+    bw.PutSe(dy);
+    return bw.Finish();
+  };
+  EXPECT_THROW(dec.DecodeFrame(p_frame_with_mv(10000, 0)), util::CheckError);
+  EXPECT_THROW(dec.DecodeFrame(p_frame_with_mv(0, -1)), util::CheckError);
+
+  const video::Frame got = dec.DecodeFrame(p_chunk);
+  const video::Frame want = clean.DecodeFrame(p_chunk);
+  const auto n = static_cast<std::size_t>(want.pixels());
+  EXPECT_EQ(0, std::memcmp(got.r(), want.r(), n));
+  EXPECT_EQ(0, std::memcmp(got.g(), want.g(), n));
+  EXPECT_EQ(0, std::memcmp(got.b(), want.b(), n));
 }
 
 TEST(Codec, RateControlHitsTargetOnSyntheticVideo) {

@@ -3,8 +3,11 @@
 // determinism, preprocessing.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dnn/feature_extractor.hpp"
 #include "dnn/mobilenet.hpp"
+#include "nn/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace ff::dnn {
@@ -91,6 +94,35 @@ TEST(MobileNet, DeterministicForward) {
   util::Pcg32 rng(9);
   in.FillNormal(rng, 0.5f);
   EXPECT_TRUE(nn::Tensor::AllClose(a.Forward(in), b.Forward(in), 0.0f));
+}
+
+// The whole float trunk, forced onto each ISA the host supports, must be
+// byte-identical to the scalar reference. The input is a cropped view, so
+// conv1 reads strided rows; its 33x49 output (1617 pixels) runs full
+// 32-pixel pointwise tiles plus a 16-pixel block and a 1-pixel tail, and
+// every stride-2 depthwise layer runs the stride-2 row kernel.
+TEST(MobileNet, TrunkBitwiseAcrossIsas) {
+  using nn::kernels::Isa;
+  nn::Sequential net = BuildMobileNetV1({.include_classifier = false});
+  nn::Tensor frame(nn::Shape{2, 3, 70, 101});
+  util::Pcg32 rng(17);
+  frame.FillNormal(rng, 0.5f);
+  const nn::TensorView crop = nn::TensorView(frame).CropHW(
+      tensor::Rect{.y0 = 2, .x0 = 1, .y1 = 68, .x1 = 99});
+
+  const Isa prev = nn::kernels::SetActiveIsaForTest(Isa::kScalar);
+  const nn::Tensor ref = net.Forward(crop);
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+    if (nn::kernels::TableFor(isa) == nullptr) continue;
+    nn::kernels::SetActiveIsaForTest(isa);
+    const nn::Tensor got = net.Forward(crop);
+    ASSERT_EQ(ref.shape(), got.shape());
+    EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                             static_cast<std::size_t>(ref.elements()) *
+                                 sizeof(float)))
+        << "trunk output differs on " << nn::kernels::IsaName(isa);
+  }
+  nn::kernels::SetActiveIsaForTest(prev);
 }
 
 TEST(MobileNet, DifferentSeedsGiveDifferentFeatures) {

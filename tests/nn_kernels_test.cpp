@@ -28,7 +28,7 @@ const std::int64_t kLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
 
 std::vector<Isa> SimdIsas() {
   std::vector<Isa> isas;
-  for (const Isa isa : {Isa::kSse2, Isa::kAvx2}) {
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
     if (TableFor(isa) != nullptr) isas.push_back(isa);
   }
   return isas;
@@ -189,6 +189,82 @@ TEST(KernelParity, PwAcc4AndPwAcc1) {
   }
 }
 
+// Lengths around the AVX-512 pointwise tile (16 and 32 pixels) and its
+// 16-pixel block and masked tail.
+const std::int64_t kTileLengths[] = {0, 1, 15, 16, 17, 31, 32, 33, 47};
+
+// pw_acc8 row k must equal pw_acc1 on that row. Every input plane and the
+// last output row end exactly at the end of their own allocations, so an
+// over-read past the run shows up under ASan.
+TEST(KernelParity, PwAcc8TilesNoOverRead) {
+  SKIP_WITHOUT_SIMD();
+  for (const Isa isa : SimdIsas()) {
+    const OpTable& simd = *TableFor(isa);
+    for (const std::int64_t n : kTileLengths) {
+      for (const std::int64_t n_ic : {0, 1, 3, 8, 19}) {
+        std::vector<std::vector<float>> planes;
+        std::vector<const float*> xs;
+        for (std::int64_t ic = 0; ic < n_ic; ++ic) {
+          // +1 offset makes every plane base deliberately unaligned.
+          planes.push_back(RandomFloats(static_cast<std::size_t>(n) + 1,
+                                        static_cast<std::uint64_t>(100 + ic)));
+          xs.push_back(planes.back().data() + 1);
+        }
+        const std::int64_t w_stride = n_ic + 3;  // padded weight rows
+        const auto w = RandomFloats(static_cast<std::size_t>(8 * w_stride), 56);
+        const std::int64_t y_stride = n + 5;  // strided output rows
+        auto ya = RandomFloats(static_cast<std::size_t>(1 + 7 * y_stride + n),
+                               57);
+        auto yb = ya;
+        scalar::Table().pw_acc8(xs.data(), n_ic, w.data(), w_stride,
+                                ya.data() + 1, y_stride, n);
+        simd.pw_acc8(xs.data(), n_ic, w.data(), w_stride, yb.data() + 1,
+                     y_stride, n);
+        ASSERT_EQ(0,
+                  std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+            << IsaName(isa) << " pw_acc8 n=" << n << " ic=" << n_ic;
+
+        // The reference itself is eight pw_acc1 rows.
+        auto yc = RandomFloats(ya.size(), 57);
+        for (std::int64_t k = 0; k < 8; ++k) {
+          scalar::Table().pw_acc1(xs.data(), n_ic, w.data() + k * w_stride,
+                                  yc.data() + 1 + k * y_stride, n);
+        }
+        ASSERT_EQ(0,
+                  std::memcmp(ya.data(), yc.data(), ya.size() * sizeof(float)))
+            << "scalar pw_acc8 vs pw_acc1 n=" << n << " ic=" << n_ic;
+      }
+    }
+  }
+}
+
+// Strided rows of a stride-2 tap. The x allocation ends exactly at the last
+// element the last row uses, x[(rows-1)*x_stride + 2*(n-1)], and the y
+// allocation at the last output, so ASan sees any over-read.
+TEST(KernelParity, AxpyRowsS2StridedNoOverRead) {
+  SKIP_WITHOUT_SIMD();
+  const std::int64_t rows = 3;
+  for (const Isa isa : SimdIsas()) {
+    const OpTable& simd = *TableFor(isa);
+    for (const std::int64_t n : kTileLengths) {
+      const std::int64_t x_stride = 2 * n + 5, y_stride = n + 3;
+      const std::int64_t x_len =
+          1 + (rows - 1) * x_stride + (n > 0 ? 2 * (n - 1) + 1 : 0);
+      const auto x = RandomFloats(static_cast<std::size_t>(x_len), 58);
+      auto ya = RandomFloats(
+          static_cast<std::size_t>(1 + (rows - 1) * y_stride + n), 59);
+      auto yb = ya;
+      // +1 offsets make both bases deliberately unaligned.
+      scalar::Table().axpy_rows_s2(0.7f, x.data() + 1, x_stride,
+                                   ya.data() + 1, y_stride, rows, n);
+      simd.axpy_rows_s2(0.7f, x.data() + 1, x_stride, yb.data() + 1,
+                        y_stride, rows, n);
+      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+          << IsaName(isa) << " axpy_rows_s2 n=" << n;
+    }
+  }
+}
+
 TEST(KernelParity, DotBitwise) {
   SKIP_WITHOUT_SIMD();
   for (const Isa isa : SimdIsas()) {
@@ -235,7 +311,7 @@ TEST(KernelParity, ReluAndRelu6WithSpecials) {
 // the host supports, the scalar reference included, must match the
 // out-of-place scalar result there too.
 TEST(KernelParity, ReluAndRelu6InPlace) {
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
     const OpTable* table = TableFor(isa);
     if (table == nullptr) continue;
     for (const std::int64_t n : kLengths) {
@@ -634,6 +710,53 @@ TEST(KernelParity, ConvLayersBitwiseAcrossIsas) {
     expect_same(ref_s2, strided.Forward(in5), "3x3 stride-2 conv");
     expect_same(ref_dw, dw.Forward(in9), "depthwise conv");
     expect_same(ref_fc, fc.Forward(in45), "fully connected");
+  }
+  SetActiveIsaForTest(prev);
+}
+
+// The layer shapes ConvLayersBitwiseAcrossIsas does not reach: 21 output
+// channels walk the pointwise blocks of 8, 8, 4 and 1 over a 117-pixel
+// plane (three 32-pixel tiles, a 16-pixel block and a masked tail), a
+// cropped view feeds the pointwise conv as strided row runs, and stride-2
+// depthwise and KxK convs run the stride-2 row kernel.
+TEST(KernelParity, WideConvLayersBitwiseAcrossIsas) {
+  SKIP_WITHOUT_SIMD();
+  util::Pcg32 rng(92);
+  Conv2D pw("pw", 19, 21, 1, 1, Padding::kSameCeil);
+  HeInitLayer(pw, 6);
+  DepthwiseConv2D dw_s2("dw_s2", 19, 3, 2, Padding::kSameFloor);
+  HeInitLayer(dw_s2, 7);
+  Conv2D conv_s2("conv_s2", 3, 21, 3, 2, Padding::kSameCeil);
+  HeInitLayer(conv_s2, 8);
+
+  Tensor in19(Shape{2, 19, 9, 13});
+  in19.FillNormal(rng, 1.0f);
+  Tensor big19(Shape{2, 19, 12, 47});
+  big19.FillNormal(rng, 1.0f);
+  const TensorView crop19 =
+      TensorView(big19).CropHW(tensor::Rect{.y0 = 1, .x0 = 3, .y1 = 11, .x1 = 40});
+  Tensor in3(Shape{2, 3, 37, 70});
+  in3.FillNormal(rng, 1.0f);
+
+  const Isa prev = SetActiveIsaForTest(Isa::kScalar);
+  const Tensor ref_pw = pw.Forward(in19);
+  const Tensor ref_crop = pw.Forward(crop19);
+  const Tensor ref_dw = dw_s2.Forward(crop19);
+  const Tensor ref_conv = conv_s2.Forward(in3);
+  for (const Isa isa : SimdIsas()) {
+    SetActiveIsaForTest(isa);
+    auto expect_same = [&](const Tensor& ref, const Tensor& got,
+                           const char* what) {
+      ASSERT_EQ(ref.shape(), got.shape());
+      ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
+                               static_cast<std::size_t>(ref.elements()) *
+                                   sizeof(float)))
+          << what << " differs on " << IsaName(isa);
+    };
+    expect_same(ref_pw, pw.Forward(in19), "21-channel pointwise conv");
+    expect_same(ref_crop, pw.Forward(crop19), "pointwise conv on a crop");
+    expect_same(ref_dw, dw_s2.Forward(crop19), "stride-2 depthwise conv");
+    expect_same(ref_conv, conv_s2.Forward(in3), "3x3 stride-2 conv");
   }
   SetActiveIsaForTest(prev);
 }

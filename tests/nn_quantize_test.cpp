@@ -151,7 +151,8 @@ TEST(QuantizeParity, BitwiseIdenticalAcrossIsas) {
 
   const kernels::Isa prev = kernels::SetActiveIsaForTest(kernels::Isa::kScalar);
   const Tensor ref = prog.Forward(in);
-  for (const kernels::Isa isa : {kernels::Isa::kSse2, kernels::Isa::kAvx2}) {
+  for (const kernels::Isa isa : {kernels::Isa::kSse2, kernels::Isa::kAvx2,
+                                 kernels::Isa::kAvx512}) {
     if (kernels::TableFor(isa) == nullptr) continue;
     kernels::SetActiveIsaForTest(isa);
     const Tensor got = prog.Forward(in);

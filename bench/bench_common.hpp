@@ -144,9 +144,8 @@ inline metrics::EventMetrics EvalScores(const std::vector<float>& scores,
 }
 
 // Machine-readable bench results: scalar summary fields plus a "rows" array
-// of per-sweep-point objects, written as one JSON file so the perf
-// trajectory is trackable across PRs (BENCH_fig5.json is the checked-in
-// instance; CI uploads fresh ones as artifacts). Construct with the path
+// of per-sweep-point objects, written as one JSON file (CI uploads them as
+// artifacts; perfbench/ is where PRs are compared). Construct with the path
 // from `--json <path>` (or the FF_BENCH_JSON env var); an empty path
 // disables the writer and every call becomes a no-op.
 class JsonResult {
@@ -163,8 +162,8 @@ class JsonResult {
 
   JsonResult(std::string bench, std::string path)
       : bench_(std::move(bench)), path_(std::move(path)) {
-    // Every checked-in BENCH_*.json records the ISA its numbers were
-    // measured on — a scalar-vs-AVX2 run is not a perf regression.
+    // Every result records the ISA its numbers were measured on — a
+    // scalar-vs-AVX2 run is not a perf regression.
     Set("isa", nn::kernels::IsaName(nn::kernels::ActiveIsa()));
   }
 

@@ -1,5 +1,5 @@
 // Quantized-inference guardrail bench (ROADMAP: int8 path). Two gates, one
-// JSON (BENCH_quant.json):
+// JSON (--json <path>):
 //
 //  1. Trunk throughput: the full MobileNet backbone (conv1..conv6/sep) in
 //     int8 vs float over identical preprocessed frames. Target: >= 2x on an
@@ -11,8 +11,8 @@
 //
 // Exits nonzero if any F1 point breaks the epsilon, so CI can gate on it.
 // (The throughput ratio is recorded, not gated: CI machines are noisy and
-// may be scalar-only; the checked-in BENCH_quant.json documents the dev-box
-// AVX2 number.)
+// may be scalar-only. perfbench's trunk.i8.* and trunk.f32.* per-layer
+// metrics are the repeated, machine-stamped measurement.)
 #include <cmath>
 #include <cstdio>
 #include <string>

@@ -29,6 +29,29 @@ void ResultCollector::Bind(McSpec& spec) {
   };
 }
 
+class EdgeFleet::SinkScope {
+ public:
+  explicit SinkScope(EdgeFleet& fleet) : thread_(fleet.sink_thread_) {
+    thread_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  }
+  ~SinkScope() { thread_.store(std::thread::id(), std::memory_order_relaxed); }
+  SinkScope(const SinkScope&) = delete;
+  SinkScope& operator=(const SinkScope&) = delete;
+
+ private:
+  std::atomic<std::thread::id>& thread_;
+};
+
+std::unique_lock<std::mutex> EdgeFleet::Lock() const {
+  // Relaxed suffices: a thread only ever matches its own id, and it always
+  // observes its own latest store.
+  FF_CHECK_MSG(sink_thread_.load(std::memory_order_relaxed) !=
+                   std::this_thread::get_id(),
+               "a sink called back into its own fleet; sinks run with the "
+               "fleet lock held, so hand results off and return");
+  return std::unique_lock<std::mutex>(mu_);
+}
+
 EdgeFleet::EdgeFleet(dnn::FeatureExtractor& fx, const EdgeFleetConfig& cfg)
     : fx_(fx),
       cfg_(cfg),
@@ -142,7 +165,7 @@ StreamHandle EdgeFleet::FinishAddStream(std::unique_ptr<Stream> s) {
 
 StreamHandle EdgeFleet::AddStream(video::FrameSource& source,
                                   StreamConfig scfg) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   auto s = std::make_unique<Stream>();
   s->source = &source;
   s->width = scfg.frame_width > 0 ? scfg.frame_width : source.width();
@@ -153,7 +176,7 @@ StreamHandle EdgeFleet::AddStream(video::FrameSource& source,
 }
 
 StreamHandle EdgeFleet::AddStream(StreamConfig scfg) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   auto s = std::make_unique<Stream>();
   FF_CHECK_MSG(scfg.frame_width > 0 && scfg.frame_height > 0,
                "a push-driven stream needs explicit StreamConfig geometry");
@@ -180,12 +203,12 @@ EdgeFleet::Stream* EdgeFleet::FindStream(StreamHandle stream) const {
 }
 
 bool EdgeFleet::HasStream(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return FindStream(stream) != nullptr;
 }
 
 std::size_t EdgeFleet::n_streams() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return streams_.size();
 }
 
@@ -205,7 +228,7 @@ void EdgeFleet::DrainStream(Stream& s) {
 }
 
 void EdgeFleet::RemoveStream(StreamHandle stream) {
-  std::unique_lock<std::mutex> lock(mu_);
+  auto lock = Lock();
   // The prefetch stage may be inside this stream's source->Next(); the
   // handle — and with it the caller's source-outlives-stream guarantee —
   // cannot die under it. Re-resolve after every wait (the wait drops mu_).
@@ -215,6 +238,7 @@ void EdgeFleet::RemoveStream(StreamHandle stream) {
     if (!s->prefetching) break;
     idle_cv_.wait(lock);
   }
+  const SinkScope sinks(*this);
   const std::size_t idx = StreamIndex(stream);
   DrainStream(*streams_[idx]);
   if (xcam_ != nullptr && streams_[idx]->in_topology) {
@@ -243,7 +267,7 @@ void EdgeFleet::RemoveStream(StreamHandle stream) {
 }
 
 McHandle EdgeFleet::Attach(StreamHandle stream, McSpec spec) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FF_CHECK_MSG(!drained_, "cannot attach to a drained fleet");
   FF_CHECK(spec.mc != nullptr);
   Stream& s = *streams_[StreamIndex(stream)];
@@ -275,7 +299,8 @@ std::pair<EdgeFleet::Stream*, std::size_t> EdgeFleet::TenantRef(
 }
 
 void EdgeFleet::Detach(McHandle handle) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
+  const SinkScope sinks(*this);
   const auto [s, idx] = TenantRef(handle);
   Tenant& tenant = *s->tenants[idx];
   DrainTenantTail(*s, tenant);
@@ -289,7 +314,7 @@ void EdgeFleet::Detach(McHandle handle) {
 }
 
 bool EdgeFleet::IsAttached(McHandle handle) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   for (const auto& s : streams_) {
     for (const auto& t : s->tenants) {
       if (t->handle == handle) return true;
@@ -299,27 +324,27 @@ bool EdgeFleet::IsAttached(McHandle handle) const {
 }
 
 std::size_t EdgeFleet::n_mcs() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   std::size_t n = 0;
   for (const auto& s : streams_) n += s->tenants.size();
   return n;
 }
 
 const Microclassifier& EdgeFleet::mc(McHandle handle) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   const auto [s, idx] = TenantRef(handle);
   return *s->tenants[idx]->mc;
 }
 
 void EdgeFleet::SetUploadSink(UploadSink sink) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FF_CHECK_MSG(cfg_.enable_upload, "uploads are disabled in this fleet");
   upload_sink_ = std::move(sink);
 }
 
 void EdgeFleet::SetTopology(xcam::Topology topology,
                             xcam::CorrelatorConfig ccfg, std::string tap) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FF_CHECK_MSG(!drained_, "cannot arm xcam on a drained fleet");
   FF_CHECK_MSG(xcam_ == nullptr, "the fleet's topology is already set");
   FF_CHECK_MSG(!topology.empty(), "SetTopology needs a non-empty topology");
@@ -354,30 +379,30 @@ void EdgeFleet::SetTopology(xcam::Topology topology,
 }
 
 void EdgeFleet::SetCrossEventSink(CrossEventSink sink) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   cross_event_sink_ = std::move(sink);
 }
 
 bool EdgeFleet::xcam_enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return xcam_ != nullptr;
 }
 
 xcam::Correlator::Stats EdgeFleet::xcam_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FF_CHECK_MSG(xcam_ != nullptr, "no topology set (SetTopology first)");
   return xcam_->correlator->stats();
 }
 
 std::int64_t EdgeFleet::frames_suppressed() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   std::int64_t n = 0;
   for (const auto& s : streams_) n += s->frames_suppressed;
   return n;
 }
 
 std::int64_t EdgeFleet::frames_suppressed(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return streams_[StreamIndex(stream)]->frames_suppressed;
 }
 
@@ -468,7 +493,7 @@ void EdgeFleet::Push(StreamHandle stream, const video::Frame& frame) {
 }
 
 void EdgeFleet::Push(StreamHandle stream, video::Frame&& frame) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   Stream& s = PushTarget(stream, frame);
   // Admission first: a shed frame vanishes here, quietly — in particular a
   // full queue is exactly when the controller sheds, and shedding must not
@@ -487,7 +512,7 @@ void EdgeFleet::Push(StreamHandle stream, video::Frame&& frame) {
 }
 
 std::size_t EdgeFleet::queued_frames(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return streams_[StreamIndex(stream)]->queue.size();
 }
 
@@ -865,6 +890,7 @@ std::int64_t EdgeFleet::ProcessStaged(
     }
   }
   if (items.empty()) return 0;
+  const SinkScope sinks(*this);
 
   // Bookkeeping for the whole batch up front (as the single-node path
   // did): the tenant set cannot change mid-batch, so every frame sees the
@@ -1063,7 +1089,7 @@ std::int64_t EdgeFleet::ProcessStaged(
 }
 
 std::int64_t EdgeFleet::Step(std::int64_t max_frames) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FF_CHECK_MSG(!drained_, "cannot step a drained fleet");
   FF_CHECK_MSG(!pipeline_active_,
                "Step() is the synchronous schedule; StopPipeline() first");
@@ -1291,7 +1317,7 @@ void EdgeFleet::RecordPipelineError() {
 }
 
 void EdgeFleet::StartPipeline() {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FF_CHECK_MSG(!drained_, "cannot start a pipeline on a drained fleet");
   FF_CHECK_MSG(!pipeline_active_, "pipeline already running");
   pipeline_stop_ = false;
@@ -1323,7 +1349,7 @@ void EdgeFleet::StartPipeline() {
 }
 
 void EdgeFleet::StopPipeline() {
-  std::unique_lock<std::mutex> lock(mu_);
+  auto lock = Lock();
   FF_CHECK_MSG(pipeline_active_, "no pipeline is running");
   pipeline_stop_ = true;
   prefetch_cv_.notify_all();
@@ -1361,12 +1387,12 @@ void EdgeFleet::StopPipeline() {
 }
 
 bool EdgeFleet::pipeline_active() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return pipeline_active_;
 }
 
 void EdgeFleet::WaitPipelineIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
+  auto lock = Lock();
   FF_CHECK_MSG(pipeline_active_, "no pipeline is running");
   idle_cv_.wait(lock, [&] {
     if (pipeline_error_) return true;  // StopPipeline() rethrows it
@@ -1414,15 +1440,16 @@ void EdgeFleet::DrainTenantTail(Stream& s, Tenant& tenant) {
 }
 
 void EdgeFleet::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   if (drained_) return;
   FF_CHECK_MSG(!pipeline_active_, "StopPipeline() before Drain()");
   drained_ = true;
+  const SinkScope sinks(*this);
   for (auto& s : streams_) DrainStream(*s);
 }
 
 bool EdgeFleet::drained() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return drained_;
 }
 
@@ -1434,37 +1461,37 @@ std::int64_t EdgeFleet::Run() {
 }
 
 std::int64_t EdgeFleet::frames_processed() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   std::int64_t n = 0;
   for (const auto& s : streams_) n += s->frames_processed;
   return n;
 }
 
 std::int64_t EdgeFleet::frames_processed(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return streams_[StreamIndex(stream)]->frames_processed;
 }
 
 std::int64_t EdgeFleet::frames_uploaded(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return streams_[StreamIndex(stream)]->frames_uploaded;
 }
 
 std::uint64_t EdgeFleet::upload_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   std::uint64_t n = 0;
   for (const auto& s : streams_) n += s->uplink ? s->uplink->total_bytes() : 0;
   return n;
 }
 
 std::uint64_t EdgeFleet::upload_bytes(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   const Stream& s = *streams_[StreamIndex(stream)];
   return s.uplink ? s.uplink->total_bytes() : 0;
 }
 
 double EdgeFleet::UploadBitrateBps(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   const Stream& s = *streams_[StreamIndex(stream)];
   if (s.frames_processed == 0) return 0.0;
   const double seconds = static_cast<double>(s.frames_processed) /
@@ -1474,7 +1501,7 @@ double EdgeFleet::UploadBitrateBps(StreamHandle stream) const {
 }
 
 std::size_t EdgeFleet::pending_frames(StreamHandle stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return streams_[StreamIndex(stream)]->pending.size();
 }
 
@@ -1485,7 +1512,7 @@ EdgeStore* EdgeFleet::edge_store(StreamHandle stream) {
 }
 
 std::shared_ptr<EdgeStore> EdgeFleet::edge_store_shared(StreamHandle stream) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   if (Stream* s = FindStream(stream)) return s->store;
   for (const auto& [handle, st] : retired_stores_) {
     if (handle == stream) return st;
@@ -1495,17 +1522,17 @@ std::shared_ptr<EdgeStore> EdgeFleet::edge_store_shared(StreamHandle stream) {
 }
 
 std::int64_t EdgeFleet::batches_run() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return batches_run_;
 }
 
 std::size_t EdgeFleet::n_buckets() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return buckets_.size();
 }
 
 std::vector<BucketStats> EdgeFleet::bucket_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   std::vector<BucketStats> out;
   out.reserve(buckets_.size());
   for (const auto& b : buckets_) {
@@ -1528,7 +1555,7 @@ std::vector<BucketStats> EdgeFleet::bucket_stats() const {
 }
 
 FleetStats EdgeFleet::fleet_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   FleetStats fs;
   const std::int64_t now = clock_->NowNs();
   for (const auto& s : streams_) {
@@ -1571,22 +1598,22 @@ FleetStats EdgeFleet::fleet_stats() const {
 }
 
 double EdgeFleet::base_dnn_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return base_timer_.total_seconds();
 }
 
 double EdgeFleet::mc_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return mc_timer_.total_seconds();
 }
 
 double EdgeFleet::smooth_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return smooth_timer_.total_seconds();
 }
 
 double EdgeFleet::upload_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto lock = Lock();
   return upload_timer_.total_seconds();
 }
 

@@ -99,6 +99,7 @@
 // and the current keep-every cadence.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -146,11 +147,12 @@ struct McDecision {
 };
 
 // Sink contract (all three kinds): sinks fire on the thread driving the
-// schedule — the Step/Detach/Drain caller, or the pipeline's compute
-// thread — WITH THE FLEET LOCK HELD, so per-stream delivery order is
-// exact even while churn lands concurrently. A sink must therefore not
-// call back into its fleet/node (that would self-deadlock on the
-// non-recursive lock); hand results off and return.
+// schedule — the Step/Detach/RemoveStream/Drain caller, or the pipeline's
+// compute thread — WITH THE FLEET LOCK HELD, so per-stream delivery order
+// is exact even while churn lands concurrently. A sink must therefore not
+// call back into its own fleet/node: such a call throws util::CheckError
+// (instead of self-deadlocking on the non-recursive lock). Hand results
+// off and return. Calling into a DIFFERENT fleet is fine.
 using DecisionSink = std::function<void(const McDecision&)>;
 // Closed events, begin/end in the owning stream's frame indices.
 using EventSink = std::function<void(const EventRecord&)>;
@@ -496,8 +498,7 @@ class EdgeFleet {
   std::shared_ptr<EdgeStore> edge_store_shared(StreamHandle stream);
 
   // Phase-1 batches run so far (all buckets); frames_processed() /
-  // batches_run() / n_streams() is the per-stream buffering depth the
-  // scaling bench reports.
+  // batches_run() / n_streams() is the per-stream buffering depth.
   std::int64_t batches_run() const;
 
   // Geometry buckets: one per distinct WxH ever added (buckets persist
@@ -678,6 +679,15 @@ class EdgeFleet {
     std::int64_t batches = 0, frames = 0;  // accounting (bucket_stats)
   };
 
+  // The fleet lock, as every public method takes it. Throws CheckError when
+  // the caller is the thread delivering this fleet's sinks: that thread
+  // already holds mu_, and re-locking it would hang.
+  std::unique_lock<std::mutex> Lock() const;
+  // Marks the calling thread as the sink thread for the lifetime of one
+  // sink-firing scope (ProcessStaged, Detach, RemoveStream, Drain). The
+  // caller holds mu_.
+  class SinkScope;
+
   StreamHandle FinishAddStream(std::unique_ptr<Stream> s);
   std::size_t StreamIndex(StreamHandle stream) const;
   Stream* FindStream(StreamHandle stream) const;  // null when gone
@@ -808,6 +818,9 @@ class EdgeFleet {
   // Pipeline state (all guarded by mu_; the hand-off queue has its own
   // internal lock and is only ever pushed/popped with mu_ released).
   mutable std::mutex mu_;
+  // The thread inside a SinkScope, or none. Written under mu_; Lock() reads
+  // it before taking mu_, and only ever compares it with its own id.
+  std::atomic<std::thread::id> sink_thread_{};
   std::thread prefetch_thread_, compute_thread_, archive_thread_;
   std::unique_ptr<util::BoundedQueue<StagedBatch>> hand_off_;
   std::unique_ptr<util::BoundedQueue<ArchiveItem>> archive_queue_;

@@ -10,8 +10,8 @@
 //     advances any clock — the fleet compares these scripted arrival times
 //     against its own util::Clock, so a pinned FakeClock makes the whole
 //     overload-control schedule deterministic (edge_fleet_overload_test)
-//     while a real clock makes a 2×-capacity soak genuinely overload the
-//     box (bench_fleet_scaling --overload-soak).
+//     while under a real clock the same arrivals genuinely overload the
+//     box.
 //   * StallingSource — throws or sleeps at a scripted frame ordinal,
 //     reproducing a camera that dies or stalls mid-stream inside the
 //     pipelined prefetch stage (edge_fleet_pipeline_test pins that the

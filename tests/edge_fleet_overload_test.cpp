@@ -6,10 +6,12 @@
 //      schedule produces the SAME per-stream admissions and BITWISE the
 //      same decision streams as Step() (single bucket, equal priorities —
 //      the per-bucket determinism contract in edge_fleet.hpp);
-//  (b) PRIORITY — under ~2x sustained offered load, low-priority streams
-//      decimate (keep-every-k escalates, frames shed) while the
-//      high-priority stream loses ZERO frames, every queue stays bounded,
-//      and the fleet's ingest→decision p95 respects the SLO;
+//  (b) PRIORITY — under ~1.75x to ~6.25x sustained offered load,
+//      low-priority streams decimate (keep-every-k escalates, frames shed)
+//      while the high-priority stream loses ZERO frames, every queue stays
+//      bounded, and the fleet's ingest→decision p95 respects the SLO; a
+//      real-clock pipelined soak at 2x load keeps queues bounded, drains
+//      every staged frame at stop, and sheds strictly low-first;
 //  (c) DISABLED == OFF — with the controller disabled (the default), the
 //      admission seam changes nothing: bitwise-identical results to a
 //      config that never heard of overload control, zero shed counters.
@@ -20,9 +22,12 @@
 // another thread while the pipeline runs (this suite is in the CI TSan leg).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/edge_fleet.hpp"
@@ -76,6 +81,26 @@ StreamStats StatsFor(const EdgeFleet& fleet, StreamHandle h) {
   }
   ADD_FAILURE() << "no StreamStats for stream " << h;
   return {};
+}
+
+// One priority-1 and three priority-0 push-driven streams of `spec`'s
+// geometry, each with one localized tenant (seeds seed, seed+1, ...).
+// Returns the high stream and the low ones.
+std::pair<StreamHandle, std::vector<StreamHandle>> AddPriorityWall(
+    EdgeFleet& fleet, const dnn::FeatureExtractor& fx,
+    const video::DatasetSpec& spec, std::uint64_t seed) {
+  const StreamConfig geom{
+      .frame_width = spec.width, .frame_height = spec.height, .fps = spec.fps};
+  StreamConfig high_cfg = geom;
+  high_cfg.priority = 1;
+  const StreamHandle high = fleet.AddStream(high_cfg);
+  fleet.Attach(high, {.mc = MakeMc(fx, spec, "localized", seed)});
+  std::vector<StreamHandle> lows;
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    lows.push_back(fleet.AddStream(geom));
+    fleet.Attach(lows.back(), {.mc = MakeMc(fx, spec, "localized", seed + i)});
+  }
+  return {high, lows};
 }
 
 // ---------------------------------------------------------------------------
@@ -175,77 +200,159 @@ TEST(EdgeFleetOverload, FakeClockShedScheduleDeterministicAcrossSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// (b) Priority: under ~2x load the high tier never loses a frame.
+// (b) Priority: under 1x-4x load the high tier never loses a frame.
 
 TEST(EdgeFleetOverload, HighPriorityLosesNothingUnderSustainedOverload) {
-  // One high-priority camera (its offered rate fits its fair share) plus
-  // three low-priority cameras together offer ~1.75x what Step(2)-per-round
-  // processes. The queue-depth trigger fires on the low tier, which
-  // escalates to keep-every-k and sheds; the high tier must sail through
-  // untouched (CanEscalate gates it on the lows being fully decimated,
-  // which the lows' shedding prevents from ever being needed).
+  // One high-priority camera plus three low-priority cameras against a box
+  // that processes Step(2) per round. Each low camera offers `load` frames
+  // per round, so the fleet is offered ~1.75x (load 1) to ~6.25x (load 4)
+  // what it processes. The low tier escalates to keep-every-k and sheds.
+  // The high camera offers its fair share (half a frame per round) in
+  // bursts of five, deep enough to breach its own queue trigger: only the
+  // priority gate (CanEscalate: the lows are not fully decimated) keeps it
+  // from shedding.
   const std::int64_t kRounds = 40;
+  const std::int64_t kBurst = 5;
   const video::SyntheticDataset ds(CamSpec(128, 2, 181));  // frame template
+  const video::Frame frame = ds.RenderFrame(0);
 
-  util::FakeClock clock(0);
+  for (const std::int64_t load : {1, 2, 4}) {
+    SCOPED_TRACE("load " + std::to_string(load) + "x");
+    util::FakeClock clock(0);
+    dnn::FeatureExtractor fx({.include_classifier = false});
+    EdgeFleetConfig cfg;
+    cfg.enable_upload = false;
+    cfg.clock = &clock;
+    cfg.slo_ms = 500;
+    cfg.shed_queue_depth = 3;
+    cfg.shed_breach_frames = 2;
+    cfg.shed_recover_frames = 1000;  // no easing inside this run
+    cfg.max_keep_every = 32;  // the lows settle below it at every load
+    cfg.queue_capacity = 16;
+    EdgeFleet fleet(fx, cfg);
+    const auto [high, lows] = AddPriorityWall(fleet, fx, ds.spec(), 911);
+
+    for (std::int64_t r = 0; r < kRounds; ++r) {
+      if (r % (2 * kBurst) == 0) {
+        for (std::int64_t b = 0; b < kBurst; ++b) fleet.Push(high, frame);
+      }
+      for (const StreamHandle l : lows) {
+        for (std::int64_t k = 0; k < load; ++k) fleet.Push(l, frame);
+      }
+      fleet.Step(2);
+      clock.AdvanceMs(25);
+    }
+    while (fleet.Step() > 0) {
+    }
+
+    const StreamStats hs = StatsFor(fleet, high);
+    EXPECT_EQ(hs.frames_offered, kRounds / 2);
+    EXPECT_EQ(hs.frames_shed, 0) << "high priority must never shed here";
+    EXPECT_EQ(hs.keep_every, 1);
+    EXPECT_EQ(hs.frames_processed, kRounds / 2);
+    EXPECT_GE(hs.queue_peak, cfg.shed_queue_depth + 1)
+        << "the bursts must breach the high stream's own trigger";
+    for (const StreamHandle l : lows) {
+      const StreamStats ls = StatsFor(fleet, l);
+      EXPECT_EQ(ls.frames_offered, load * kRounds);
+      EXPECT_GT(ls.frames_shed, 0) << "low tier must decimate";
+      EXPECT_GT(ls.keep_every, 1);  // recover window is longer than the run
+      EXPECT_LT(ls.keep_every, cfg.max_keep_every);
+      EXPECT_EQ(ls.frames_processed, ls.frames_admitted);
+      EXPECT_LE(ls.queue_peak, 8) << "queues must stay bounded";
+    }
+    const FleetStats fs = fleet.fleet_stats();
+    EXPECT_EQ(fs.frames_offered, kRounds / 2 + 3 * load * kRounds);
+    EXPECT_EQ(fs.frames_admitted, fs.frames_offered - fs.frames_shed);
+    EXPECT_EQ(fs.frames_processed, fs.frames_admitted);
+    EXPECT_GT(fs.latency_samples, 0);
+    EXPECT_LE(fs.latency_p95_ms, cfg.slo_ms)
+        << "shedding exists to keep ingest→decision latency inside the SLO";
+    fleet.Drain();
+  }
+}
+
+// The same gates on the threaded pipeline under the real clock: Push-driven
+// streams, each low camera offering twice the high camera's average rate
+// while the stage threads race the pushes. Thread timing decides how much
+// sheds and when, so every check below holds at any timing — a slow Debug
+// or sanitized box sheds more, never differently.
+
+TEST(EdgeFleetOverload, PipelinedSoakAtTwiceLoadKeepsEveryGate) {
+  const std::int64_t kRounds = 120;
+  const std::int64_t kBurst = 8;
+  const video::SyntheticDataset ds(CamSpec(128, 2, 186));
+  const video::Frame frame = ds.RenderFrame(0);
   dnn::FeatureExtractor fx({.include_classifier = false});
   EdgeFleetConfig cfg;
   cfg.enable_upload = false;
-  cfg.clock = &clock;
-  cfg.slo_ms = 500;
-  cfg.shed_queue_depth = 3;
-  cfg.shed_breach_frames = 2;
-  cfg.shed_recover_frames = 64;  // no easing inside this run
-  cfg.max_keep_every = 4;
+  cfg.max_batch = 4;
   cfg.queue_capacity = 16;
+  cfg.shed_queue_depth = 4;
+  cfg.shed_breach_frames = 2;
+  // Longer than the run: no stream ever eases back, so keep_every only
+  // rises and the low-first check below holds in every snapshot.
+  cfg.shed_recover_frames = 1'000'000;
+  cfg.max_keep_every = 8;
   EdgeFleet fleet(fx, cfg);
+  const auto [high, lows] = AddPriorityWall(fleet, fx, ds.spec(), 971);
+  auto push = [&](StreamHandle h) {
+    // Only this thread pushes, so a queue below the bound stays below it
+    // until the Push. Skipping at the bound keeps a box too slow to drain
+    // the high stream (which only sheds once the lows are exhausted) from
+    // tripping the queue-full check.
+    if (static_cast<std::int64_t>(fleet.queued_frames(h)) + 1 >=
+        cfg.queue_capacity) {
+      return;
+    }
+    fleet.Push(h, frame);
+  };
+  // Shed strictly low-first: in any snapshot, a high stream that has
+  // escalated at all implies every low stream sits at the ceiling.
+  auto expect_low_first = [&](const FleetStats& fs) {
+    std::int64_t high_keep = 1;
+    for (const auto& s : fs.streams) {
+      if (s.handle == high) high_keep = s.keep_every;
+    }
+    if (high_keep == 1) return;
+    for (const auto& s : fs.streams) {
+      if (s.handle == high) continue;
+      EXPECT_EQ(s.keep_every, cfg.max_keep_every)
+          << "high stream escalated to keep-every-" << high_keep
+          << " while low stream " << s.handle << " kept every "
+          << s.keep_every;
+    }
+  };
 
-  const StreamConfig geom{.frame_width = ds.spec().width,
-                          .frame_height = ds.spec().height,
-                          .fps = ds.spec().fps};
-  StreamConfig high_cfg = geom;
-  high_cfg.priority = 1;
-  const StreamHandle high = fleet.AddStream(high_cfg);
-  std::vector<StreamHandle> lows;
-  for (int i = 0; i < 3; ++i) lows.push_back(fleet.AddStream(geom));
-  fleet.Attach(high, {.mc = MakeMc(fx, ds.spec(), "localized", 911)});
-  for (int i = 0; i < 3; ++i) {
-    fleet.Attach(lows[static_cast<std::size_t>(i)],
-                 {.mc = MakeMc(fx, ds.spec(), "localized",
-                               912 + static_cast<std::uint64_t>(i))});
-  }
-
-  const video::Frame frame = ds.RenderFrame(0);
+  fleet.StartPipeline();
   for (std::int64_t r = 0; r < kRounds; ++r) {
-    if (r % 2 == 0) fleet.Push(high, frame);  // half the lows' rate
-    for (const StreamHandle l : lows) fleet.Push(l, frame);
-    fleet.Step(2);
-    clock.AdvanceMs(25);
+    // The high stream offers one frame per round on average, in bursts
+    // deep enough to breach its own queue trigger.
+    if (r % kBurst == 0) {
+      for (std::int64_t b = 0; b < kBurst; ++b) push(high);
+    }
+    for (const StreamHandle l : lows) {
+      push(l);
+      push(l);
+    }
+    expect_low_first(fleet.fleet_stats());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  fleet.StopPipeline();
+  // Drain-on-stop: every frame the pipeline staged has been processed.
+  EXPECT_EQ(fleet.fleet_stats().in_flight, 0);
+  // Frames still queued at stop wait for the synchronous schedule.
   while (fleet.Step() > 0) {
   }
-
-  const StreamStats hs = StatsFor(fleet, high);
-  EXPECT_EQ(hs.frames_offered, kRounds / 2);
-  EXPECT_EQ(hs.frames_shed, 0) << "high priority must never shed here";
-  EXPECT_EQ(hs.keep_every, 1);
-  EXPECT_EQ(hs.frames_processed, kRounds / 2);
-  for (const StreamHandle l : lows) {
-    const StreamStats ls = StatsFor(fleet, l);
-    EXPECT_EQ(ls.frames_offered, kRounds);
-    EXPECT_GT(ls.frames_shed, 0) << "low tier must decimate";
-    EXPECT_GT(ls.keep_every, 1);  // recover window is longer than the run
-    EXPECT_EQ(ls.frames_processed, ls.frames_admitted);
-    EXPECT_LE(ls.queue_peak, 8) << "queues must stay bounded";
-  }
-  const FleetStats fs = fleet.fleet_stats();
-  EXPECT_EQ(fs.frames_offered, kRounds / 2 + 3 * kRounds);
-  EXPECT_EQ(fs.frames_admitted, fs.frames_offered - fs.frames_shed);
-  EXPECT_EQ(fs.frames_processed, fs.frames_admitted);
-  EXPECT_GT(fs.latency_samples, 0);
-  EXPECT_LE(fs.latency_p95_ms, cfg.slo_ms)
-      << "shedding exists to keep ingest→decision latency inside the SLO";
   fleet.Drain();
+
+  const FleetStats fs = fleet.fleet_stats();
+  EXPECT_GT(fs.frames_shed, 0) << "the soak must overload the box";
+  expect_low_first(fs);
+  for (const auto& s : fs.streams) {
+    EXPECT_LE(s.queue_peak, cfg.queue_capacity) << "stream " << s.handle;
+    EXPECT_EQ(s.frames_processed, s.frames_admitted) << "stream " << s.handle;
+  }
 }
 
 // ---------------------------------------------------------------------------

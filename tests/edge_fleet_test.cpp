@@ -4,8 +4,9 @@
 // AddStream/RemoveStream work mid-run with full tail draining; (c)
 // heterogeneous frame geometries land in separate batch buckets while
 // invalid/zero geometry and per-stream frame mismatches stay loud; plus
-// push-driven streams, bounded queues, round-robin batch formation, and tap
-// reference restoration under churn.
+// push-driven streams, bounded queues, round-robin batch formation, tap
+// reference restoration under churn, and a sink that calls back into its
+// own fleet failing loudly instead of deadlocking.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -433,6 +434,35 @@ TEST(EdgeFleet, DecisionAndEventSinksCarryStreamHandles) {
   EXPECT_EQ(events[0].stream, h);
   EXPECT_EQ(events[0].begin, 0);
   EXPECT_EQ(events[0].end, ds.n_frames());
+}
+
+TEST(EdgeFleet, SinkCallingBackIntoItsOwnFleetThrowsInsteadOfHanging) {
+  // Sinks fire with the fleet lock held. A sink that calls back into its
+  // own fleet fails loudly instead of self-deadlocking on that lock; a call
+  // into another fleet is fine.
+  const video::SyntheticDataset ds(SmallSpec(4, 72));
+  dnn::FeatureExtractor fx({.include_classifier = false});
+  auto cfg = FleetConfig();
+  cfg.enable_upload = false;
+  cfg.vote_window = 1;  // a decision per frame, delivered inside Step()
+  cfg.vote_k = 1;
+  EdgeFleet other(fx, cfg);
+  other.AddStream(StreamConfig{.frame_width = ds.spec().width,
+                               .frame_height = ds.spec().height,
+                               .fps = ds.spec().fps});
+  EdgeFleet fleet(fx, cfg);
+  video::DatasetSource src(ds);
+  const StreamHandle h = fleet.AddStream(src);
+  std::size_t other_streams = 0;
+  fleet.Attach(h, {.mc = MakeMc(fx, ds.spec(), "full_frame", 910),
+                   .on_decision = [&](const McDecision&) {
+                     other_streams = other.n_streams();
+                     fleet.n_streams();
+                   }});
+  EXPECT_THROW(fleet.Step(), util::CheckError);
+  EXPECT_EQ(other_streams, 1u);
+  // The throw left the sink scope: this thread may use the fleet again.
+  EXPECT_EQ(fleet.n_streams(), 1u);
 }
 
 // Runs one stream's frames end to end through an EdgeNode on the given

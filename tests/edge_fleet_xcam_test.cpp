@@ -1,12 +1,12 @@
 // Fleet-level tests of the cross-camera correlation plane (src/xcam wired
 // through core::EdgeFleet::SetTopology):
 //
-//  (a) DEDUPE — a 4-camera wall pointed at ONE scripted scene fuses every
-//      event into one cross-camera group and suppresses the non-canonical
-//      clips, cutting uplink clip bytes by the member count (>= 2x is the
-//      acceptance floor; the wall achieves ~4x) with ZERO canonical-clip
-//      loss (the canonical stream's upload byte stream is bitwise-identical
-//      to a fleet with no topology);
+//  (a) DEDUPE — a 2-, 4- or 8-camera wall pointed at ONE scripted scene
+//      fuses every event into one cross-camera group and suppresses the
+//      non-canonical clips, cutting uplink clip bytes by the member count
+//      (>= 2x is the acceptance floor at every wall size) with ZERO
+//      canonical-clip loss (the canonical stream's upload byte stream is
+//      bitwise-identical to a fleet with no topology);
 //  (b) ISOLATION — streams outside the topology, and every stream of a
 //      fleet with no topology at all, keep decision/upload byte streams
 //      bitwise-identical to a topology-free fleet;
@@ -267,71 +267,78 @@ WallSpec SharedWall(std::size_t cams, bool with_topology, bool pipelined) {
   return spec;
 }
 
-TEST(EdgeFleetXcam, FourCameraWallSuppressesDuplicateClips) {
-  const WallRun base = RunWall(SharedWall(4, false, false));
-  const WallRun dedup = RunWall(SharedWall(4, true, false));
+TEST(EdgeFleetXcam, CameraWallSuppressesDuplicateClips) {
   const auto script = SharedScript();
   const std::int64_t n_events = script->spec().n_events;
   const std::int64_t positives_per_cam =
       n_events * script->spec().event_frames;
 
-  // The plane never perturbs a decision stream — only the upload tail.
-  for (std::size_t c = 0; c < 4; ++c) {
-    ExpectSameResult(base.results[c], dedup.results[c]);
-    ASSERT_EQ(dedup.results[c].events.size(),
-              static_cast<std::size_t>(n_events));
-  }
+  for (const std::size_t cams : {2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(cams) + " cameras");
+    const WallRun base = RunWall(SharedWall(cams, false, false));
+    const WallRun dedup = RunWall(SharedWall(cams, true, false));
+    const auto n_cams = static_cast<std::int64_t>(cams);
 
-  // Every scripted object fused into one 4-member group.
-  EXPECT_EQ(dedup.stats.fused_groups, n_events);
-  EXPECT_EQ(dedup.stats.members_fused, 4 * n_events);
-  EXPECT_EQ(dedup.stats.groups_emitted, n_events);
-  ASSERT_EQ(dedup.xevents.size(), static_cast<std::size_t>(n_events));
-  for (std::size_t g = 0; g < dedup.xevents.size(); ++g) {
-    const auto& rec = dedup.xevents[g];
-    EXPECT_EQ(rec.global_id, static_cast<std::int64_t>(g));
-    ASSERT_EQ(rec.members.size(), 4u);
-    // Equal priorities and an oracle peak of 1.0 everywhere: the tiebreak
-    // elects the earliest member key, i.e. the lowest stream handle.
-    EXPECT_EQ(rec.canonical_member().stream, 0);
-    const auto& obj = script->objects()[g];
-    EXPECT_EQ(rec.canonical_member().begin, obj.begin);
-    EXPECT_EQ(rec.canonical_member().end, obj.end);
-  }
-
-  // Zero canonical-clip loss: the canonical stream uploads the exact bytes
-  // it would have without a topology; the other three ship only tombstones.
-  ExpectSameClipBytes(base.packets[0], dedup.packets[0]);
-  EXPECT_EQ(dedup.suppressed[0], 0);
-  EXPECT_EQ(dedup.bytes[0], base.bytes[0]);
-  for (std::size_t c = 1; c < 4; ++c) {
-    EXPECT_EQ(dedup.suppressed[c], positives_per_cam) << "cam " << c;
-    EXPECT_EQ(dedup.bytes[c], 0u) << "cam " << c;  // tombstones cost 0 bytes
-    for (const auto& p : dedup.packets[c]) {
-      EXPECT_TRUE(p.tombstone);
-      EXPECT_TRUE(p.chunk.empty());
+    // The plane never perturbs a decision stream — only the upload tail.
+    for (std::size_t c = 0; c < cams; ++c) {
+      ExpectSameResult(base.results[c], dedup.results[c]);
+      ASSERT_EQ(dedup.results[c].events.size(),
+                static_cast<std::size_t>(n_events));
     }
-  }
 
-  // The acceptance floor is 2x; a 4-camera wall with one canonical view
-  // achieves ~4x (per-camera encodings differ slightly, hence the floor).
-  EXPECT_GT(base.total_bytes(), 0u);
-  EXPECT_LE(2 * dedup.total_bytes(), base.total_bytes());
+    // Every scripted object fused into one group holding every camera.
+    EXPECT_EQ(dedup.stats.fused_groups, n_events);
+    EXPECT_EQ(dedup.stats.members_fused, n_cams * n_events);
+    EXPECT_EQ(dedup.stats.groups_emitted, n_events);
+    ASSERT_EQ(dedup.xevents.size(), static_cast<std::size_t>(n_events));
+    for (std::size_t g = 0; g < dedup.xevents.size(); ++g) {
+      const auto& rec = dedup.xevents[g];
+      EXPECT_EQ(rec.global_id, static_cast<std::int64_t>(g));
+      ASSERT_EQ(rec.members.size(), cams);
+      // Equal priorities and an oracle peak of 1.0 everywhere: the tiebreak
+      // elects the earliest member key, i.e. the lowest stream handle.
+      EXPECT_EQ(rec.canonical_member().stream, 0);
+      const auto& obj = script->objects()[g];
+      EXPECT_EQ(rec.canonical_member().begin, obj.begin);
+      EXPECT_EQ(rec.canonical_member().end, obj.end);
+    }
 
-  // Datacenter view: the canonical receiver reassembles every event's clip
-  // in full; a non-canonical receiver sees metadata-only tombstones.
-  DatacenterReceiver canon(64, 64), shadow(64, 64);
-  for (const auto& p : dedup.packets[0]) canon.Receive(p);
-  for (const auto& p : dedup.packets[1]) shadow.Receive(p);
-  EXPECT_EQ(canon.frames_received(), positives_per_cam);
-  EXPECT_EQ(canon.tombstones_received(), 0);
-  ASSERT_EQ(canon.Clips().size(), static_cast<std::size_t>(n_events));
-  for (const auto& clip : canon.Clips()) {
-    EXPECT_EQ(static_cast<std::int64_t>(clip.frame_slots.size()),
-              script->spec().event_frames);
+    // Zero canonical-clip loss: the canonical stream uploads the exact
+    // bytes it would have without a topology; the others ship only
+    // tombstones.
+    ExpectSameClipBytes(base.packets[0], dedup.packets[0]);
+    EXPECT_EQ(dedup.suppressed[0], 0);
+    EXPECT_EQ(dedup.bytes[0], base.bytes[0]);
+    for (std::size_t c = 1; c < cams; ++c) {
+      EXPECT_EQ(dedup.suppressed[c], positives_per_cam) << "cam " << c;
+      EXPECT_EQ(dedup.bytes[c], 0u) << "cam " << c;  // tombstones cost 0 B
+      for (const auto& p : dedup.packets[c]) {
+        EXPECT_TRUE(p.tombstone);
+        EXPECT_TRUE(p.chunk.empty());
+      }
+    }
+
+    // The acceptance floor is 2x at every wall size; one canonical view
+    // out of C achieves ~Cx (per-camera encodings differ slightly, hence
+    // the floor).
+    EXPECT_GT(base.total_bytes(), 0u);
+    EXPECT_LE(2 * dedup.total_bytes(), base.total_bytes());
+
+    // Datacenter view: the canonical receiver reassembles every event's
+    // clip in full; a non-canonical receiver sees metadata-only tombstones.
+    DatacenterReceiver canon(64, 64), shadow(64, 64);
+    for (const auto& p : dedup.packets[0]) canon.Receive(p);
+    for (const auto& p : dedup.packets[1]) shadow.Receive(p);
+    EXPECT_EQ(canon.frames_received(), positives_per_cam);
+    EXPECT_EQ(canon.tombstones_received(), 0);
+    ASSERT_EQ(canon.Clips().size(), static_cast<std::size_t>(n_events));
+    for (const auto& clip : canon.Clips()) {
+      EXPECT_EQ(static_cast<std::int64_t>(clip.frame_slots.size()),
+                script->spec().event_frames);
+    }
+    EXPECT_EQ(shadow.frames_received(), 0);
+    EXPECT_EQ(shadow.tombstones_received(), positives_per_cam);
   }
-  EXPECT_EQ(shadow.frames_received(), 0);
-  EXPECT_EQ(shadow.tombstones_received(), positives_per_cam);
 }
 
 TEST(EdgeFleetXcam, StreamsOutsideTheTopologyAreBitwiseUntouched) {

@@ -50,6 +50,14 @@ std::vector<float> RandomFloats(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// Bitwise equality of n elements at a and b — the bytes memcmp compares,
+// without handing memcmp the null data() of an empty vector (its pointers
+// must be valid even for a zero length).
+template <typename T>
+bool SameBits(const T* a, const T* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
 #define SKIP_WITHOUT_SIMD()                                       \
   if (SimdIsas().empty()) {                                       \
     GTEST_SKIP() << "no SIMD ISA available on this host";         \
@@ -65,7 +73,7 @@ TEST(KernelParity, Fill) {
       std::vector<float> b(a);
       scalar::Table().fill(a.data() + 1, n, 0.37f);
       simd.fill(b.data() + 1, n, 0.37f);
-      ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(a.data(), b.data(), a.size()))
           << IsaName(isa) << " n=" << n;
     }
   }
@@ -81,7 +89,7 @@ TEST(KernelParity, Axpy) {
       auto yb = ya;
       scalar::Table().axpy(1.7f, x.data() + 1, ya.data() + 1, n);
       simd.axpy(1.7f, x.data() + 1, yb.data() + 1, n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " n=" << n;
     }
   }
@@ -102,7 +110,7 @@ TEST(KernelParity, Axpy4) {
       };
       run(scalar::Table(), ya);
       run(simd, yb);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " n=" << n;
     }
   }
@@ -120,7 +128,7 @@ TEST(KernelParity, AxpyRowsStrided) {
       auto yb = ya;
       scalar::Table().axpy_rows(-0.8f, x.data(), xs, ya.data(), ys, rows, n);
       simd.axpy_rows(-0.8f, x.data(), xs, yb.data(), ys, rows, n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " n=" << n;
     }
   }
@@ -144,7 +152,7 @@ TEST(KernelParity, Axpy4RowsStrided) {
       };
       run(scalar::Table(), ya);
       run(simd, yb);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " n=" << n;
     }
   }
@@ -173,16 +181,14 @@ TEST(KernelParity, PwAcc4AndPwAcc1) {
         };
         run4(scalar::Table(), ya);
         run4(simd, yb);
-        ASSERT_EQ(0,
-                  std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+        ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
             << IsaName(isa) << " pw_acc4 n=" << n << " ic=" << n_ic;
 
         auto za = RandomFloats(static_cast<std::size_t>(n), 54);
         auto zb = za;
         scalar::Table().pw_acc1(xs.data(), n_ic, w.data(), za.data(), n);
         simd.pw_acc1(xs.data(), n_ic, w.data(), zb.data(), n);
-        ASSERT_EQ(0,
-                  std::memcmp(za.data(), zb.data(), za.size() * sizeof(float)))
+        ASSERT_TRUE(SameBits(za.data(), zb.data(), za.size()))
             << IsaName(isa) << " pw_acc1 n=" << n << " ic=" << n_ic;
       }
     }
@@ -220,8 +226,7 @@ TEST(KernelParity, PwAcc8TilesNoOverRead) {
                                 ya.data() + 1, y_stride, n);
         simd.pw_acc8(xs.data(), n_ic, w.data(), w_stride, yb.data() + 1,
                      y_stride, n);
-        ASSERT_EQ(0,
-                  std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+        ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
             << IsaName(isa) << " pw_acc8 n=" << n << " ic=" << n_ic;
 
         // The reference itself is eight pw_acc1 rows.
@@ -230,8 +235,7 @@ TEST(KernelParity, PwAcc8TilesNoOverRead) {
           scalar::Table().pw_acc1(xs.data(), n_ic, w.data() + k * w_stride,
                                   yc.data() + 1 + k * y_stride, n);
         }
-        ASSERT_EQ(0,
-                  std::memcmp(ya.data(), yc.data(), ya.size() * sizeof(float)))
+        ASSERT_TRUE(SameBits(ya.data(), yc.data(), ya.size()))
             << "scalar pw_acc8 vs pw_acc1 n=" << n << " ic=" << n_ic;
       }
     }
@@ -259,7 +263,7 @@ TEST(KernelParity, AxpyRowsS2StridedNoOverRead) {
                                    ya.data() + 1, y_stride, rows, n);
       simd.axpy_rows_s2(0.7f, x.data() + 1, x_stride, yb.data() + 1,
                         y_stride, rows, n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " axpy_rows_s2 n=" << n;
     }
   }
@@ -276,7 +280,7 @@ TEST(KernelParity, DotBitwise) {
       const double dv = simd.dot(a.data() + 1, b.data() + 1, n);
       // Bitwise, not approximate: the 8-lane scheme pins the reduction
       // order, so every ISA must land on the same double.
-      ASSERT_EQ(0, std::memcmp(&ds, &dv, sizeof(double)))
+      ASSERT_TRUE(SameBits(&ds, &dv, 1))
           << IsaName(isa) << " n=" << n << " scalar=" << ds
           << " simd=" << dv;
     }
@@ -297,11 +301,11 @@ TEST(KernelParity, ReluAndRelu6WithSpecials) {
       std::vector<float> ya(static_cast<std::size_t>(n), -9.0f), yb = ya;
       scalar::Table().relu(x.data(), ya.data(), n);
       simd.relu(x.data(), yb.data(), n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " relu n=" << n;
       scalar::Table().relu6(x.data(), ya.data(), n);
       simd.relu6(x.data(), yb.data(), n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " relu6 n=" << n;
     }
   }
@@ -328,8 +332,8 @@ TEST(KernelParity, ReluAndRelu6InPlace) {
         (scalar::Table().*kernel)(x.data() + 1, want.data() + 1, n);
         std::vector<float> y = x;
         (table->*kernel)(y.data() + 1, y.data() + 1, n);
-        ASSERT_EQ(0, std::memcmp(want.data() + 1, y.data() + 1,
-                                 static_cast<std::size_t>(n) * sizeof(float)))
+        ASSERT_TRUE(SameBits(want.data() + 1, y.data() + 1,
+                             static_cast<std::size_t>(n)))
             << IsaName(isa) << (six ? " relu6" : " relu") << " n=" << n;
       }
     }
@@ -401,8 +405,7 @@ TEST(QKernelParity, QAxpyRowsStrided) {
         scalar::Table().qaxpy_rows(w, x.data() + 1, xs, aa.data(), as, rows,
                                    n);
         simd.qaxpy_rows(w, x.data() + 1, xs, ab.data(), as, rows, n);
-        ASSERT_EQ(0, std::memcmp(aa.data(), ab.data(),
-                                 aa.size() * sizeof(std::int32_t)))
+        ASSERT_TRUE(SameBits(aa.data(), ab.data(), aa.size()))
             << IsaName(isa) << " n=" << n << " w=" << w;
       }
     }
@@ -431,16 +434,14 @@ TEST(QKernelParity, QPwAcc1And2) {
         };
         run2(scalar::Table(), aa);
         run2(simd, ab);
-        ASSERT_EQ(0, std::memcmp(aa.data(), ab.data(),
-                                 aa.size() * sizeof(std::int32_t)))
+        ASSERT_TRUE(SameBits(aa.data(), ab.data(), aa.size()))
             << IsaName(isa) << " qpw_acc2 n=" << n << " ic=" << n_ic;
 
         std::vector<std::int32_t> za(static_cast<std::size_t>(n), 5);
         auto zb = za;
         scalar::Table().qpw_acc1(xs.data(), n_ic, w0, za.data(), n);
         simd.qpw_acc1(xs.data(), n_ic, w0, zb.data(), n);
-        ASSERT_EQ(0, std::memcmp(za.data(), zb.data(),
-                                 za.size() * sizeof(std::int32_t)))
+        ASSERT_TRUE(SameBits(za.data(), zb.data(), za.size()))
             << IsaName(isa) << " qpw_acc1 n=" << n << " ic=" << n_ic;
       }
     }
@@ -464,7 +465,7 @@ TEST(QKernelParity, QPwPackLayout) {
         auto pb = pa;
         scalar::Table().qpw_pack(xs.data(), n_ic, pa.data(), n);
         simd.qpw_pack(xs.data(), n_ic, pb.data(), n);
-        ASSERT_EQ(0, std::memcmp(pa.data(), pb.data(), pa.size()))
+        ASSERT_TRUE(SameBits(pa.data(), pb.data(), pa.size()))
             << IsaName(isa) << " qpw_pack n=" << n << " ic=" << n_ic;
       }
     }
@@ -500,8 +501,7 @@ TEST(QKernelParity, QPwAccPacked) {
         auto got = ref;
         scalar::Table().qpw_acc1(xs.data(), n_ic, w0, ref.data(), n);
         simd.qpw_acc1p(packed.data(), n_ic, w0, got.data(), n);
-        ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                                 ref.size() * sizeof(std::int32_t)))
+        ASSERT_TRUE(SameBits(ref.data(), got.data(), ref.size()))
             << IsaName(isa) << " qpw_acc1p n=" << n << " ic=" << n_ic;
 
         std::vector<std::int32_t> ref2(static_cast<std::size_t>(2 * n), 7);
@@ -510,8 +510,7 @@ TEST(QKernelParity, QPwAccPacked) {
                                  ref2.data() + n, n);
         simd.qpw_acc2p(packed.data(), n_ic, w0, w1, got2.data(),
                        got2.data() + n, n);
-        ASSERT_EQ(0, std::memcmp(ref2.data(), got2.data(),
-                                 ref2.size() * sizeof(std::int32_t)))
+        ASSERT_TRUE(SameBits(ref2.data(), got2.data(), ref2.size()))
             << IsaName(isa) << " qpw_acc2p n=" << n << " ic=" << n_ic;
       }
     }
@@ -563,8 +562,7 @@ TEST(QKernelParity, QAxpyRowsStride2) {
         scalar::Table().qaxpy_rows_s2(w, x.data() + 1, xstride, aa.data(),
                                       as, rows, n);
         simd.qaxpy_rows_s2(w, x.data() + 1, xstride, ab.data(), as, rows, n);
-        ASSERT_EQ(0, std::memcmp(aa.data(), ab.data(),
-                                 aa.size() * sizeof(std::int32_t)))
+        ASSERT_TRUE(SameBits(aa.data(), ab.data(), aa.size()))
             << IsaName(isa) << " n=" << n << " w=" << w;
       }
     }
@@ -605,7 +603,7 @@ TEST(QKernelParity, QRequantQuantDequant) {
       std::vector<std::uint8_t> ya(static_cast<std::size_t>(n), 9), yb = ya;
       scalar::Table().qrequant(acc.data(), 2.47e-4f, 3.5f, ya.data(), n);
       simd.qrequant(acc.data(), 2.47e-4f, 3.5f, yb.data(), n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size()))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " qrequant n=" << n;
 
       auto x = RandomFloats(static_cast<std::size_t>(n), 132);
@@ -616,7 +614,7 @@ TEST(QKernelParity, QRequantQuantDequant) {
       }
       scalar::Table().qquant(x.data(), 63.75f, 128.0f, ya.data(), n);
       simd.qquant(x.data(), 63.75f, 128.0f, yb.data(), n);
-      ASSERT_EQ(0, std::memcmp(ya.data(), yb.data(), ya.size()))
+      ASSERT_TRUE(SameBits(ya.data(), yb.data(), ya.size()))
           << IsaName(isa) << " qquant n=" << n;
 
       const auto q = RandomU8(static_cast<std::size_t>(n), 133);
@@ -624,8 +622,7 @@ TEST(QKernelParity, QRequantQuantDequant) {
         std::vector<float> fa(static_cast<std::size_t>(n), -7.0f), fb = fa;
         scalar::Table().qdequant(q.data(), 0.031f, zp, fa.data(), n);
         simd.qdequant(q.data(), 0.031f, zp, fb.data(), n);
-        ASSERT_EQ(0, std::memcmp(fa.data(), fb.data(),
-                                 fa.size() * sizeof(float)))
+        ASSERT_TRUE(SameBits(fa.data(), fb.data(), fa.size()))
             << IsaName(isa) << " qdequant n=" << n << " zp=" << zp;
       }
     }
@@ -700,9 +697,8 @@ TEST(KernelParity, ConvLayersBitwiseAcrossIsas) {
     auto expect_same = [&](const Tensor& ref, const Tensor& got,
                            const char* what) {
       ASSERT_EQ(ref.elements(), got.elements());
-      ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                               static_cast<std::size_t>(ref.elements()) *
-                                   sizeof(float)))
+      ASSERT_TRUE(SameBits(ref.data(), got.data(),
+                           static_cast<std::size_t>(ref.elements())))
           << what << " differs on " << IsaName(isa);
     };
     expect_same(ref_pw, pw.Forward(in13), "pointwise conv");
@@ -748,9 +744,8 @@ TEST(KernelParity, WideConvLayersBitwiseAcrossIsas) {
     auto expect_same = [&](const Tensor& ref, const Tensor& got,
                            const char* what) {
       ASSERT_EQ(ref.shape(), got.shape());
-      ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                               static_cast<std::size_t>(ref.elements()) *
-                                   sizeof(float)))
+      ASSERT_TRUE(SameBits(ref.data(), got.data(),
+                           static_cast<std::size_t>(ref.elements())))
           << what << " differs on " << IsaName(isa);
     };
     expect_same(ref_pw, pw.Forward(in19), "21-channel pointwise conv");

@@ -14,6 +14,7 @@
 
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "xcam/correlator.hpp"
 #include "xcam/signature.hpp"
 #include "xcam/topology.hpp"
@@ -282,6 +283,53 @@ TEST(XcamCorrelator, FlushStreamForceFinalizesItsGroups) {
   corr.Finish();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].members[0].event_id, 1);
+}
+
+TEST(XcamCorrelator, FusesEverySyntheticGroupAsTheWatermarkAdvances) {
+  // 256 groups of 2, 4 or 8 full-mesh members on a shared capture timeline,
+  // groups 400 ms apart. Members of a group carry correlated 128-dim
+  // signatures: one random base plus small per-camera noise, renormalized.
+  // The watermark advances group by group, as the fleet advances it, so
+  // finalized groups leave the pending set — and every group fuses whole.
+  constexpr std::int64_t kGroups = 256;
+  constexpr std::size_t kSigDim = 128;
+  for (const std::int64_t cams : {2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(cams) + " cameras");
+    Topology topo;
+    for (std::int64_t a = 0; a < cams; ++a) {
+      for (std::int64_t b = a + 1; b < cams; ++b) topo.AddOverlap(a, b);
+    }
+    Correlator corr(topo, {.window_ns = 50 * kMs});
+    std::int64_t whole_groups = 0;
+    corr.set_sink([&](const CrossEventRecord& rec) {
+      if (static_cast<std::int64_t>(rec.members.size()) == cams) {
+        ++whole_groups;
+      }
+    });
+    util::Pcg32 rng(7);
+    for (std::int64_t g = 0; g < kGroups; ++g) {
+      // Every event of the groups before g has been observed.
+      corr.AdvanceWatermark(g * 400 * kMs);
+      std::vector<float> base(kSigDim);
+      for (auto& x : base) x = rng.NextFloat() - 0.5f;
+      for (std::int64_t c = 0; c < cams; ++c) {
+        std::vector<float> sig(kSigDim);
+        double norm = 0.0;
+        for (std::size_t i = 0; i < kSigDim; ++i) {
+          sig[i] = base[i] + 0.05f * (rng.NextFloat() - 0.5f);
+          norm += static_cast<double>(sig[i]) * static_cast<double>(sig[i]);
+        }
+        for (auto& x : sig) x = static_cast<float>(x / std::sqrt(norm));
+        const std::int64_t begin_ms = g * 400 + c;
+        corr.Observe(Ev(c, g, begin_ms, begin_ms + 100, std::move(sig)));
+      }
+      EXPECT_LE(corr.pending_events(), cams);
+    }
+    corr.Finish();
+    EXPECT_EQ(whole_groups, kGroups);
+    EXPECT_EQ(corr.stats().fused_groups, kGroups);
+    EXPECT_EQ(corr.stats().members_fused, kGroups * cams);
+  }
 }
 
 TEST(XcamCorrelator, WatermarkNeverRegressesAndEventsNeedBounds) {

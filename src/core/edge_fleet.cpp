@@ -83,7 +83,7 @@ EdgeFleet::EdgeFleet(dnn::FeatureExtractor& fx, const EdgeFleetConfig& cfg)
 }
 
 EdgeFleet::~EdgeFleet() {
-  // A fleet destroyed with the pipeline still running joins the stages
+  // A fleet destroyed with the pipeline still running joins its threads
   // first (no thread may outlive the object). Deferred pipeline errors
   // cannot propagate out of a destructor; they are dropped.
   if (pipeline_active_) {
@@ -110,7 +110,6 @@ EdgeFleet::Bucket& EdgeFleet::BucketFor(std::int64_t width,
   auto b = std::make_unique<Bucket>();
   b->width = width;
   b->height = height;
-  b->filling.bucket = b.get();
   buckets_.push_back(std::move(b));
   return *buckets_.back();
 }
@@ -159,7 +158,7 @@ StreamHandle EdgeFleet::FinishAddStream(std::unique_ptr<Stream> s) {
       static_cast<std::size_t>(cfg_.latency_window));
   streams_.push_back(std::move(s));
   // A pipelined fleet has a new stream to service.
-  prefetch_cv_.notify_all();
+  driver_cv_.notify_all();
   return streams_.back()->handle;
 }
 
@@ -229,13 +228,13 @@ void EdgeFleet::DrainStream(Stream& s) {
 
 void EdgeFleet::RemoveStream(StreamHandle stream) {
   auto lock = Lock();
-  // The prefetch stage may be inside this stream's source->Next(); the
+  // The pipeline driver may be inside this stream's source->Next(); the
   // handle — and with it the caller's source-outlives-stream guarantee —
   // cannot die under it. Re-resolve after every wait (the wait drops mu_).
   for (;;) {
     Stream* s = FindStream(stream);
     FF_CHECK_MSG(s != nullptr, "no stream with handle " << stream);
-    if (!s->prefetching) break;
+    if (!s->pulling) break;
     idle_cv_.wait(lock);
   }
   const SinkScope sinks(*this);
@@ -259,11 +258,9 @@ void EdgeFleet::RemoveStream(StreamHandle stream) {
   if (streams_[idx]->store != nullptr) {
     retired_stores_.emplace_back(stream, streams_[idx]->store);
   }
+  // Frames of this stream in a gather under way stop resolving and are
+  // discarded at processing.
   streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(idx));
-  // Frames of this stream staged in a bucket stop resolving and are
-  // discarded at processing; wake the stages so they re-evaluate.
-  prefetch_cv_.notify_all();
-  idle_cv_.notify_all();
 }
 
 McHandle EdgeFleet::Attach(StreamHandle stream, McSpec spec) {
@@ -508,7 +505,7 @@ void EdgeFleet::Push(StreamHandle stream, video::Frame&& frame) {
   s.queue.push_back(std::move(frame));
   s.queue_peak = std::max(s.queue_peak,
                           static_cast<std::int64_t>(s.queue.size()));
-  prefetch_cv_.notify_all();
+  driver_cv_.notify_all();
 }
 
 std::size_t EdgeFleet::queued_frames(StreamHandle stream) const {
@@ -764,29 +761,13 @@ void EdgeFleet::XcamPump() {
   }
 }
 
-nn::Tensor EdgeFleet::TakeStaging(Bucket& b, std::int64_t cap) {
-  nn::Tensor t;
-  if (b.filling.entries.empty() && !b.filling.staging.empty()) {
-    t = std::move(b.filling.staging);
-  } else if (!b.spare.empty()) {
-    t = std::move(b.spare);
+bool EdgeFleet::AnyFrameReady() const {
+  for (const auto& s : streams_) {
+    if (!s->queue.empty() || (s->source != nullptr && !s->source_done)) {
+      return true;
+    }
   }
-  // Reallocate only when the batch width grows; a wider tensor serves a
-  // narrower batch through TensorView::Prefix.
-  if (t.empty() || t.shape().n < cap) {
-    t = nn::Tensor(nn::Shape{cap, 3, b.height, b.width});
-  }
-  return t;
-}
-
-void EdgeFleet::RecycleStaging(Bucket& b, nn::Tensor t) {
-  if (t.empty()) return;
-  if (b.filling.staging.empty() && b.filling.entries.empty()) {
-    b.filling.staging = std::move(t);
-  } else if (b.spare.empty()) {
-    b.spare = std::move(t);
-  }
-  // else: a larger reallocation superseded this tensor; drop it.
+  return false;
 }
 
 bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
@@ -803,22 +784,23 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
       if (io_lock == nullptr) {
         next = s.source->Next();
       } else {
-        // Decode outside the lock — this is the overlap the pipeline exists
-        // for. The prefetching flag keeps RemoveStream from invalidating the
-        // stream (and the caller's source) mid-call.
-        s.prefetching = true;
+        // Decode outside the lock, so Push/churn/stats callers are not held
+        // up by it. The pulling flag keeps RemoveStream from invalidating
+        // the stream (and the caller's source) mid-call; other streams may
+        // be removed meanwhile (RunTurn re-resolves its members).
+        s.pulling = true;
         video::FrameSource* const src = s.source;
         io_lock->unlock();
         try {
           next = src->Next();
         } catch (...) {
           io_lock->lock();
-          s.prefetching = false;
+          s.pulling = false;
           idle_cv_.notify_all();
           throw;
         }
         io_lock->lock();
-        s.prefetching = false;
+        s.pulling = false;
         idle_cv_.notify_all();
       }
       if (!next) {
@@ -827,7 +809,7 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
       }
       // Validate and admit BEFORE the stop check: a misreporting source
       // must stay loud even at stop (the throw surfaces at StopPipeline
-      // like any stage error), and the shed schedule must not depend on
+      // like any pipeline error), and the shed schedule must not depend on
       // when StopPipeline happened to land.
       ValidateFrame(s, *next);  // sources may misreport their metadata
       const bool admitted = AdmitFrame(s, *next);
@@ -843,31 +825,26 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
         break;
       }
       // A shed frame vanishes before staging; pull the source again — the
-      // decimator keeps every k-th OFFERED frame, so one stage-A turn may
+      // decimator keeps every k-th OFFERED frame, so one StageFrame call may
       // consume several source frames under overload.
     }
   }
-  if (batch.staging.empty()) batch.staging = TakeStaging(*s.bucket, cap);
+  nn::Tensor& staging = batch.bucket->staging;
+  // Reallocate only when the batch width grows; a wider tensor serves a
+  // narrower batch through TensorView::Prefix.
+  if (batch.entries.empty() && (staging.empty() || staging.shape().n < cap)) {
+    staging = nn::Tensor(nn::Shape{cap, 3, batch.bucket->height,
+                                   batch.bucket->width});
+  }
   batch.entries.push_back(StagedEntry{s.handle, std::move(frame)});
   const video::Frame& f = batch.entries.back().frame;
   const auto image = static_cast<std::int64_t>(batch.entries.size()) - 1;
-  // The pipeline preprocesses outside the lock: its filling batch is
-  // stage-A-private (the compute stage only sees batches after hand-off).
+  // The driver preprocesses outside the lock: the batch and its bucket's
+  // staging tensor are private to the turn.
   if (io_lock != nullptr) io_lock->unlock();
-  dnn::PreprocessRgbInto(batch.staging, image, f.r(), f.g(), f.b());
+  dnn::PreprocessRgbInto(staging, image, f.r(), f.g(), f.b());
   if (io_lock != nullptr) io_lock->lock();
   return true;
-}
-
-void EdgeFleet::Restage(StagedBatch& batch) {
-  // Reverse batch order restores each queue's original front-to-back order.
-  // Frames of a stream removed meanwhile are dropped, like its queue was.
-  for (auto it = batch.entries.rbegin(); it != batch.entries.rend(); ++it) {
-    if (Stream* s = FindStream(it->stream)) {
-      s->queue.push_front(std::move(it->frame));
-    }
-  }
-  RecycleStaging(*batch.bucket, std::move(batch.staging));
 }
 
 std::int64_t EdgeFleet::ProcessStaged(
@@ -958,7 +935,7 @@ std::int64_t EdgeFleet::ProcessStaged(
   dnn::FeatureMaps fm;
   if (!active.empty()) {
     base_timer_.Start();
-    fm = fx_.Extract(tensor::TensorView(batch.staging)
+    fm = fx_.Extract(tensor::TensorView(batch.bucket->staging)
                          .Prefix(static_cast<std::int64_t>(
                              batch.entries.size())));
     base_timer_.Stop();
@@ -1088,20 +1065,19 @@ std::int64_t EdgeFleet::ProcessStaged(
   return static_cast<std::int64_t>(items.size());
 }
 
-std::int64_t EdgeFleet::Step(std::int64_t max_frames) {
-  const auto lock = Lock();
-  FF_CHECK_MSG(!drained_, "cannot step a drained fleet");
-  FF_CHECK_MSG(!pipeline_active_,
-               "Step() is the synchronous schedule; StopPipeline() first");
-  const std::int64_t cap = max_frames > 0 ? max_frames : cfg_.max_batch;
+std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
+                                std::unique_lock<std::mutex>* io_lock,
+                                std::vector<ArchiveItem>* deferred_archive) {
   // One batch serves one geometry: try each bucket round-robin and process
   // the first that yields a frame.
   const std::size_t nb = buckets_.size();
   for (std::size_t k = 0; k < nb; ++k) {
     Bucket& b = *buckets_[(bucket_rr_ + k) % nb];
-    std::vector<Stream*> members;
+    // Handles, not pointers: StageFrame may drop the lock, and a member
+    // other than the one it is pulling can be removed meanwhile.
+    std::vector<StreamHandle> members;
     for (const auto& s : streams_) {
-      if (s->bucket == &b) members.push_back(s.get());
+      if (s->bucket == &b) members.push_back(s->handle);
     }
     if (members.empty()) continue;
     // Gather round-robin across the bucket's live streams: one frame per
@@ -1116,163 +1092,81 @@ std::int64_t EdgeFleet::Step(std::int64_t max_frames) {
     std::size_t misses = 0;  // consecutive streams with nothing ready
     try {
       while (static_cast<std::int64_t>(batch.entries.size()) < cap &&
-             misses < n) {
-        Stream& s = *members[idx];
+             misses < n && !(io_lock != nullptr && pipeline_stop_)) {
+        Stream* s = FindStream(members[idx]);
         idx = (idx + 1) % n;
-        misses = StageFrame(s, batch, cap, nullptr) ? 0 : misses + 1;
+        if (s != nullptr && StageFrame(*s, batch, cap, io_lock)) {
+          misses = 0;
+          ++in_flight_;
+        } else {
+          ++misses;
+        }
       }
     } catch (...) {
       // One stream's source misbehaved (e.g. a mismatched frame): the loud
       // failure must not silently eat a frame of anyone's decision stream.
-      Restage(batch);
+      // Reverse batch order restores each queue's front-to-back order;
+      // frames of a stream removed meanwhile are dropped, like its queue.
+      in_flight_ = 0;
+      for (auto it = batch.entries.rbegin(); it != batch.entries.rend();
+           ++it) {
+        if (Stream* s = FindStream(it->stream)) {
+          s->queue.push_front(std::move(it->frame));
+        }
+      }
       throw;
     }
+    in_flight_ = 0;
     b.rr = idx;  // the next gather resumes where this one stopped
     if (batch.entries.empty()) continue;
     bucket_rr_ = (bucket_rr_ + k + 1) % nb;
-    const std::int64_t processed = ProcessStaged(batch);
-    RecycleStaging(b, std::move(batch.staging));
-    return processed;
+    return ProcessStaged(batch, deferred_archive);
   }
   return 0;
 }
 
+std::int64_t EdgeFleet::Step(std::int64_t max_frames) {
+  const auto lock = Lock();
+  FF_CHECK_MSG(!drained_, "cannot step a drained fleet");
+  FF_CHECK_MSG(!pipeline_active_,
+               "Step() is the synchronous schedule; StopPipeline() first");
+  return RunTurn(max_frames > 0 ? max_frames : cfg_.max_batch, nullptr,
+                 nullptr);
+}
+
 // --- Pipelined schedule ------------------------------------------------------
 
-void EdgeFleet::FlushFilling(Bucket& b, std::unique_lock<std::mutex>& lock) {
-  StagedBatch batch = std::move(b.filling);
-  b.filling = StagedBatch{};
-  b.filling.bucket = &b;
-  ++b.tensors_out;
-  const auto staged = static_cast<std::int64_t>(batch.entries.size());
-  // Never block on the bounded hand-off while holding the fleet lock: the
-  // compute stage needs it to make space.
-  lock.unlock();
-  const bool delivered = hand_off_->PushOrKeep(batch);
-  lock.lock();
-  if (!delivered) {
-    // Queue closed by a failing stage. The abort must not cost any stream
-    // its staged frames (one dead camera must never open gaps in its
-    // siblings' decision streams), so the post-error synchronous schedule
-    // sees the exact per-stream sequences the pipeline would have.
-    --b.tensors_out;
-    in_flight_ -= staged;
-    Restage(batch);
-    idle_cv_.notify_all();
-  }
-}
-
-void EdgeFleet::PrefetchLoop(std::unique_lock<std::mutex>& lock) {
-  const std::int64_t cap = cfg_.max_batch;
-  while (!pipeline_stop_) {
-    // One scan over the streams: pick the next (round-robin, for fairness)
-    // with a frame ready whose bucket can still accept one, and note which
-    // buckets have ANY ready stream — a bucket whose streams all went
-    // quiet must flush its partial batch even while sibling buckets stay
-    // busy (otherwise a camera wall under continuous load on one geometry
-    // would withhold another geometry's staged decisions indefinitely).
-    Stream* victim = nullptr;
-    bool saturated = false;  // frames ready, but their buckets are full
-    for (const auto& b : buckets_) b->any_ready = false;
-    const std::size_t n = streams_.size();
-    // The cursor advances only after the scan: every stream must be
-    // visited for the any_ready sweep even once a victim is found, and
-    // moving prefetch_rr_ mid-scan would shift the remaining candidates.
-    const std::size_t scan_base = prefetch_rr_;
-    for (std::size_t k = 0; k < n; ++k) {
-      Stream& cand = *streams_[(scan_base + k) % n];
-      const bool ready = !cand.queue.empty() ||
-                         (cand.source != nullptr && !cand.source_done);
-      if (!ready) continue;
-      Bucket& b = *cand.bucket;
-      b.any_ready = true;
-      if (victim != nullptr) continue;
-      // Writable while a staging tensor is on hand or may still be
-      // allocated (two circulate per bucket — the double buffer).
-      const bool writable = !b.filling.staging.empty() ||
-                            !b.spare.empty() || b.tensors_out < 2;
-      if (!writable) {
-        saturated = true;
-        continue;
-      }
-      victim = &cand;
-      prefetch_rr_ = (scan_base + k + 1) % n;
-    }
-
-    // Flush every starved partial batch (staged frames, no ready stream)
-    // so the compute stage sees them now, not at StopPipeline.
-    bool flushed = false;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      Bucket& b = *buckets_[i];
-      if (!b.filling.entries.empty() && !b.any_ready) {
-        FlushFilling(b, lock);
-        flushed = true;
-      }
-    }
-    // FlushFilling drops the lock around the hand-off push, so `victim`
-    // (and the whole scan) may be stale after a flush — re-scan.
-    if (flushed) continue;
-
-    if (victim == nullptr) {
-      if (saturated) {
-        // Both staging tensors of every ready bucket are in flight: wait
-        // for the compute stage to recycle one.
-        prefetch_cv_.wait(lock);
-        continue;
-      }
-      prefetch_idle_ = true;
-      idle_cv_.notify_all();
-      prefetch_cv_.wait(lock);
-      prefetch_idle_ = false;
-      continue;
-    }
-
-    Bucket& b = *victim->bucket;
-    if (!StageFrame(*victim, b.filling, cap, &lock)) continue;
-    ++in_flight_;
-    if (static_cast<std::int64_t>(b.filling.entries.size()) >= cap) {
-      FlushFilling(b, lock);
-    }
-  }
-}
-
-void EdgeFleet::PrefetchThreadMain() {
+void EdgeFleet::DriverThreadMain() {
   try {
-    std::unique_lock<std::mutex> lock(mu_);
-    PrefetchLoop(lock);
-  } catch (...) {
-    RecordPipelineError();
-  }
-}
-
-void EdgeFleet::ComputeThreadMain() {
-  try {
-    // Pop() drains the queue after Close(), so stop processes everything
-    // staged before this thread exits (clean drain-on-stop).
     std::vector<ArchiveItem> deferred;
-    while (auto batch = hand_off_->Pop()) {
-      deferred.clear();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto staged = static_cast<std::int64_t>(batch->entries.size());
-        ProcessStaged(*batch, archive_queue_ != nullptr ? &deferred : nullptr);
-        --batch->bucket->tensors_out;
-        RecycleStaging(*batch->bucket, std::move(batch->staging));
-        in_flight_ -= staged;
-        prefetch_cv_.notify_all();
-        idle_cv_.notify_all();
-      }
-      // Hand archive appends to the writer thread with mu_ RELEASED: the
-      // push may block on a full queue, and the writer never needs mu_ to
-      // make space, so this cannot deadlock.
-      for (ArchiveItem& item : deferred) {
-        if (!archive_queue_->Push(std::move(item))) {
-          // Queue closed by an error elsewhere; undo the in-flight count.
-          std::lock_guard<std::mutex> lock(mu_);
-          --archive_in_flight_;
-          idle_cv_.notify_all();
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!pipeline_stop_) {
+      RunTurn(cfg_.max_batch, &lock,
+              archive_queue_ != nullptr ? &deferred : nullptr);
+      if (!deferred.empty()) {
+        // Hand archive appends to the writer thread with mu_ RELEASED: the
+        // push may block on a full queue, and the writer never needs mu_ to
+        // make space, so this cannot deadlock.
+        lock.unlock();
+        std::int64_t dropped = 0;  // the queue closes only on an error
+        for (ArchiveItem& item : deferred) {
+          if (!archive_queue_->Push(std::move(item))) ++dropped;
         }
+        deferred.clear();
+        lock.lock();
+        archive_in_flight_ -= dropped;
       }
+      // Park only while no stream has a frame ready, checked under the lock:
+      // work that arrived while the turn had the lock dropped is seen here,
+      // and later work notifies the wait. The turn's return value is no
+      // guide — it reads 0 when every frame it gathered belonged to a
+      // stream removed mid-gather, with siblings still busy.
+      const auto wake = [&] { return pipeline_stop_ || AnyFrameReady(); };
+      if (wake()) continue;
+      driver_idle_ = true;
+      idle_cv_.notify_all();
+      driver_cv_.wait(lock, wake);
+      driver_idle_ = false;
     }
   } catch (...) {
     RecordPipelineError();
@@ -1281,7 +1175,7 @@ void EdgeFleet::ComputeThreadMain() {
 
 void EdgeFleet::ArchiveThreadMain() {
   // Single consumer: per-stream append order is exactly the order the
-  // compute stage emitted, which is batch order — the same order the
+  // driver emitted, which is batch order — the same order the
   // synchronous schedule archives in.
   while (auto item = archive_queue_->Pop()) {
     try {
@@ -1308,11 +1202,10 @@ void EdgeFleet::RecordPipelineError() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!pipeline_error_) pipeline_error_ = std::current_exception();
     pipeline_stop_ = true;
-    prefetch_cv_.notify_all();
+    driver_cv_.notify_all();
     idle_cv_.notify_all();
   }
-  // Unblocks the peer stages: Push() returns false, Pop() drains then ends.
-  hand_off_->Close();
+  // Unblocks the other thread: Push() returns false, Pop() drains then ends.
   if (archive_queue_ != nullptr) archive_queue_->Close();
 }
 
@@ -1321,22 +1214,11 @@ void EdgeFleet::StartPipeline() {
   FF_CHECK_MSG(!drained_, "cannot start a pipeline on a drained fleet");
   FF_CHECK_MSG(!pipeline_active_, "pipeline already running");
   pipeline_stop_ = false;
-  prefetch_idle_ = false;
+  driver_idle_ = false;
   pipeline_error_ = nullptr;
-  in_flight_ = 0;
-  for (auto& b : buckets_) {
-    b->tensors_out = 0;
-    // Always empty here: StopPipeline flushes or restages every filling
-    // batch, even after an aborted pipeline. Clearing is a belt-and-braces
-    // guard for that invariant, not a drop path.
-    b->filling.entries.clear();
-  }
-  // Capacity 2: per-bucket double buffering already bounds staging memory;
-  // this bound is back-pressure so stage A cannot run far ahead of B/C.
-  hand_off_ = std::make_unique<util::BoundedQueue<StagedBatch>>(2);
   if (archiving_enabled()) {
     // Deep enough to absorb a couple of batches of archive appends before
-    // back-pressuring the compute stage.
+    // back-pressuring the driver.
     archive_queue_ = std::make_unique<util::BoundedQueue<ArchiveItem>>(
         static_cast<std::size_t>(std::max<std::int64_t>(2 * cfg_.max_batch,
                                                         8)));
@@ -1344,32 +1226,20 @@ void EdgeFleet::StartPipeline() {
     archive_thread_ = std::thread(&EdgeFleet::ArchiveThreadMain, this);
   }
   pipeline_active_ = true;
-  prefetch_thread_ = std::thread(&EdgeFleet::PrefetchThreadMain, this);
-  compute_thread_ = std::thread(&EdgeFleet::ComputeThreadMain, this);
+  driver_thread_ = std::thread(&EdgeFleet::DriverThreadMain, this);
 }
 
 void EdgeFleet::StopPipeline() {
   auto lock = Lock();
   FF_CHECK_MSG(pipeline_active_, "no pipeline is running");
   pipeline_stop_ = true;
-  prefetch_cv_.notify_all();
+  driver_cv_.notify_all();
   lock.unlock();
-  prefetch_thread_.join();
-
-  // The prefetch stage may have exited with partial batches staged; hand
-  // them over so drain-on-stop loses no staged frame, then close the
-  // queue — the compute stage processes everything in it before exiting.
-  lock.lock();
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (!buckets_[i]->filling.entries.empty()) {
-      FlushFilling(*buckets_[i], lock);
-    }
-  }
-  lock.unlock();
-  hand_off_->Close();
-  compute_thread_.join();
-  // The compute stage is done pushing; close the archive queue and let the
-  // writer drain it — every staged frame's archive append lands before the
+  // The driver finishes the turn it is in — the batch it gathered is
+  // processed (clean drain-on-stop) — and exits.
+  driver_thread_.join();
+  // The driver is done pushing; close the archive queue and let the writer
+  // drain it — every processed frame's archive append lands before the
   // pipeline reports stopped.
   if (archive_queue_ != nullptr) {
     archive_queue_->Close();
@@ -1378,7 +1248,6 @@ void EdgeFleet::StopPipeline() {
 
   lock.lock();
   pipeline_active_ = false;
-  hand_off_.reset();
   archive_queue_.reset();
   const std::exception_ptr err = pipeline_error_;
   pipeline_error_ = nullptr;
@@ -1396,13 +1265,7 @@ void EdgeFleet::WaitPipelineIdle() {
   FF_CHECK_MSG(pipeline_active_, "no pipeline is running");
   idle_cv_.wait(lock, [&] {
     if (pipeline_error_) return true;  // StopPipeline() rethrows it
-    if (!prefetch_idle_ || in_flight_ != 0 || archive_in_flight_ != 0)
-      return false;
-    for (const auto& s : streams_) {
-      if (!s->queue.empty()) return false;
-      if (s->source != nullptr && !s->source_done) return false;
-    }
-    return true;
+    return driver_idle_ && archive_in_flight_ == 0 && !AnyFrameReady();
   });
 }
 
@@ -1541,7 +1404,6 @@ std::vector<BucketStats> EdgeFleet::bucket_stats() const {
     st.height = b->height;
     st.batches = b->batches;
     st.frames = b->frames;
-    st.staged = static_cast<std::int64_t>(b->filling.entries.size());
     for (const auto& s : streams_) {
       if (s->bucket == b.get()) {
         ++st.streams;

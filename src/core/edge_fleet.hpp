@@ -13,37 +13,35 @@
 //   fleet.RemoveStream(s); // stream leaves mid-run (tenant tails drained)
 //   fleet.Run();           // Step() until exhausted, then Drain()
 //
-//   fleet.StartPipeline(); // or: the threaded staged schedule (see below)
+//   fleet.StartPipeline(); // or: the same turns on one driver thread
 //   ...                    // Push/AddStream/Attach/... at batch boundaries
-//   fleet.StopPipeline();  // join stages; staged frames fully processed
+//   fleet.StopPipeline();  // join the driver; the batch in hand processed
 //
-// The scheduler is an explicit three-stage pipeline over per-geometry
-// BATCH BUCKETS (one staging tensor per distinct WxH, double-buffered):
+// The scheduler runs one TURN at a time over per-geometry BATCH BUCKETS
+// (one reusable staging tensor per distinct WxH):
 //
-//   (A) source prefetch — pull/decode frames from each stream's bounded
-//       Push() queue or its FrameSource, round-robin for fairness, and
-//       preprocess them into the stream's bucket's filling staging tensor;
-//   (B) phase 1 — run the shared FeatureExtractor once over whichever
-//       bucket's batch filled first;
+//   (A) gather — pick the next bucket (round-robin) with a frame ready and
+//       take frames round-robin across its streams, each from the stream's
+//       bounded Push() queue or its FrameSource, preprocessed into the
+//       bucket's staging tensor;
+//   (B) phase 1 — run the shared FeatureExtractor once over the batch;
 //   (C) phase 2 fan-out — one util::GlobalPool() task per (stream, tenant)
 //       pair over the shared maps — then phases 3-5 (K-voting, events,
 //       upload, archive) per frame in batch order.
 //
-// Stage A is ONE function (StageFrame) for both schedules: it takes a
-// stream's next admitted frame and preprocesses it into the next image of a
-// bucket batch. Synchronous Step() runs A→B→C inline on the caller, holding
-// the fleet lock for the whole turn (the degenerate single-threaded
-// schedule; sinks fire on the caller's thread). StartPipeline()/
-// StopPipeline() run the same stage A on a dedicated prefetch thread —
-// which drops the lock only around FrameSource::Next() and preprocessing —
-// and stages B/C on a dedicated compute thread, handing filled buckets
-// across a bounded util::BoundedQueue: frame decode overlaps the base DNN
-// and MC inference on multicore. Each bucket keeps exactly two staging
-// tensors in circulation (fill one while the other is extracted), so
-// staged memory stays bounded; StopPipeline drains — every frame already
-// staged is processed before the stages join, and frames still in Push()
-// queues remain queued for a later Step()/StartPipeline(). In pipelined
-// mode sinks fire on the compute thread, one batch at a time.
+// Both schedules run the same turn (RunTurn). Synchronous Step() runs one
+// turn on the caller, holding the fleet lock throughout; sinks fire on the
+// caller's thread. StartPipeline()/StopPipeline() run turns in a loop on
+// one driver thread, which drops the lock only around FrameSource::Next()
+// and preprocessing (so Push/churn/stats callers are not held up by decode)
+// and parks when no stream has a frame ready. Decode does not overlap
+// B/C: B/C hold the lock, so a decode thread running ahead would only let
+// frames age in a queue (docs/ARCHITECTURE.md has the measurement).
+// StopPipeline drains — the batch being gathered is processed before the
+// driver joins, and frames still in Push() queues remain queued for a
+// later Step()/StartPipeline(). In pipelined mode sinks fire on the driver
+// thread, one batch at a time; with archiving on, a second thread appends
+// to the archives so disk I/O stays off the driver.
 //
 // Scheduling is still pull-driven and fair: each batch gathers up to
 // `max_batch` frames round-robin across the live streams OF ONE BUCKET
@@ -148,7 +146,7 @@ struct McDecision {
 
 // Sink contract (all three kinds): sinks fire on the thread driving the
 // schedule — the Step/Detach/RemoveStream/Drain caller, or the pipeline's
-// compute thread — WITH THE FLEET LOCK HELD, so per-stream delivery order
+// driver thread — WITH THE FLEET LOCK HELD, so per-stream delivery order
 // is exact even while churn lands concurrently. A sink must therefore not
 // call back into its own fleet/node: such a call throws util::CheckError
 // (instead of self-deadlocking on the non-recursive lock). Hand results
@@ -296,7 +294,6 @@ struct BucketStats {
   std::int64_t batches = 0;  // phase-1 batches run for this bucket
   std::int64_t frames = 0;   // frames processed through this bucket
   std::int64_t queued = 0;   // frames on member streams' ingest queues
-  std::int64_t staged = 0;   // frames in the bucket's filling batch
   std::int64_t shed = 0;     // frames shed across member streams
 };
 
@@ -330,7 +327,7 @@ struct FleetStats {
   std::int64_t frames_processed = 0;
   std::int64_t frames_shed = 0;
   std::int64_t batches = 0;
-  std::int64_t in_flight = 0;  // staged but not yet processed (pipelined)
+  std::int64_t in_flight = 0;  // taken by the driver's gather, not processed
   double latency_p50_ms = 0;
   double latency_p95_ms = 0;
   double latency_max_ms = 0;
@@ -362,8 +359,8 @@ class EdgeFleet {
   // Removes a stream at a batch boundary: every tenant's windowed tail and
   // K-voting state is drained (sinks receive the decisions for all frames
   // the stream processed), pending uploads are finalized, and the handle
-  // dies. Frames still queued — or staged by the pipeline but never
-  // processed — are discarded.
+  // dies. Frames still queued — or taken by the pipeline driver's gather
+  // but not yet processed — are discarded.
   void RemoveStream(StreamHandle stream);
 
   bool HasStream(StreamHandle stream) const;
@@ -408,28 +405,29 @@ class EdgeFleet {
 
   // --- Pipelined schedule --------------------------------------------------
 
-  // Starts the threaded staged pipeline: a prefetch thread decodes and
-  // preprocesses frames into the batch buckets while a compute thread runs
-  // phase 1 + the MC fan-out + the per-frame tail on each filled bucket.
-  // Per-stream decisions are bitwise-identical to the synchronous schedule
-  // (edge_fleet_pipeline_test). Sinks fire on the compute thread.
+  // Starts the pipelined schedule: one driver thread runs Step()'s turn in
+  // a loop (gather a bucket batch, base DNN, MC fan-out, per-frame tail),
+  // parking while no stream has a frame ready. Per-stream decisions are
+  // bitwise-identical to the synchronous schedule
+  // (edge_fleet_pipeline_test). Sinks fire on the driver thread.
   void StartPipeline();
-  // Joins the stages. Every frame already staged in a bucket is processed
-  // before this returns (clean drain — no gap in any stream's decision
-  // stream); frames still in Push() queues stay queued. Rethrows the first
-  // error a stage hit (e.g. a source yielding a frame that contradicts its
-  // declared geometry, or a FrameSource::Next() that threw mid-prefetch).
+  // Joins the driver. The batch it was gathering is processed before this
+  // returns (clean drain — no gap in any stream's decision stream); frames
+  // still in Push() queues stay queued. Rethrows the first error the
+  // pipeline hit (e.g. a source yielding a frame that contradicts its
+  // declared geometry, or a FrameSource::Next() that threw mid-gather).
   // An ABORTED pipeline is lossless for the surviving streams: admitted
-  // frames that were staged but not processed when a stage failed are
+  // frames that were gathered but not processed when the driver failed are
   // restaged onto their streams' queues in order, so after removing the
   // offending stream the synchronous schedule (or a fresh pipeline)
   // continues every sibling bitwise-unchanged. The fleet is synchronous
   // again afterwards.
   void StopPipeline();
   // Blocks until the pipeline has nothing left to do: every source
-  // exhausted, every queue empty, nothing staged or in flight (the
-  // pipelined analogue of Run()'s exhaustion), or a stage failed. Does not
-  // stop the pipeline — streams can still be added or pushed after.
+  // exhausted, every queue empty, the driver parked and every archive
+  // append done (the pipelined analogue of Run()'s exhaustion), or the
+  // pipeline failed. Does not stop the pipeline — streams can still be
+  // added or pushed after.
   void WaitPipelineIdle();
   bool pipeline_active() const;
   // StartPipeline() + WaitPipelineIdle() + StopPipeline() + Drain().
@@ -558,10 +556,10 @@ class EdgeFleet {
     StreamHandle handle = -1;
     video::FrameSource* source = nullptr;  // null: push-driven
     bool source_done = false;
-    // The prefetch stage is inside this stream's source->Next() right now
+    // The pipeline driver is inside this stream's source->Next() right now
     // (RemoveStream waits on this before the handle — and with it the
     // caller's source-outlives-stream guarantee — dies).
-    bool prefetching = false;
+    bool pulling = false;
     std::int64_t width = 0, height = 0, fps = 15;
     // Overload controller state (all mutated under mu_ at admission).
     std::int64_t priority = 0;
@@ -629,7 +627,7 @@ class EdgeFleet {
 
   // One deferred archive append: the pipelined schedule hands (store, frame
   // copy) to a dedicated archive-writer thread so disk I/O never stalls the
-  // compute stage. Single consumer, so per-stream append order is exactly
+  // driver. Single consumer, so per-stream append order is exactly
   // batch order — pipelined and synchronous archives are bitwise-identical.
   struct ArchiveItem {
     std::shared_ptr<EdgeStore> store;
@@ -650,12 +648,10 @@ class EdgeFleet {
     video::Frame frame;
   };
 
-  // A bucket batch in flight: entry i is preprocessed into image i of
-  // `staging`. This is the unit handed from the prefetch stage to the
-  // compute stage (and the unit the synchronous Step builds inline).
+  // The batch one turn gathers: entry i is preprocessed into image i of
+  // the bucket's staging tensor.
   struct StagedBatch {
     Bucket* bucket = nullptr;
-    nn::Tensor staging;  // (capacity, 3, H, W)
     std::vector<StagedEntry> entries;
   };
 
@@ -664,18 +660,9 @@ class EdgeFleet {
   struct Bucket {
     std::int64_t width = 0, height = 0;
     std::size_t rr = 0;  // fairness cursor among this bucket's streams
-    // Double buffer: `filling` is the batch the prefetch stage is writing;
-    // `spare` is a recycled staging tensor awaiting reuse. At most two
-    // staging tensors circulate per bucket (`tensors_out` counts the ones
-    // handed off but not yet recycled), which is what bounds pipelined
-    // staging memory and back-pressures the prefetch stage.
-    StagedBatch filling;
-    nn::Tensor spare;
-    int tensors_out = 0;
-    // Stage-A scan scratch: some stream of this bucket has a frame ready
-    // (rewritten every scan; a staged partial batch whose bucket has no
-    // ready stream is flushed instead of waiting on busier buckets).
-    bool any_ready = false;
+    // (capacity, 3, H, W), reused by every turn on this bucket — one turn
+    // runs at a time, so the turn gathering into it owns it.
+    nn::Tensor staging;
     std::int64_t batches = 0, frames = 0;  // accounting (bucket_stats)
   };
 
@@ -711,55 +698,53 @@ class EdgeFleet {
   }
 
   Bucket& BucketFor(std::int64_t width, std::int64_t height);
-  // Staging-tensor circulation (see Bucket). TakeStaging prefers the
-  // bucket's idle tensors and reallocates only when capacity grows.
-  nn::Tensor TakeStaging(Bucket& b, std::int64_t cap);
-  void RecycleStaging(Bucket& b, nn::Tensor t);
+  // Any live stream with a queued frame or an unexhausted source.
+  bool AnyFrameReady() const;
 
-  // Stage A, the one staging path of both schedules: takes the next
-  // admitted frame of `s` — its Push() queue first (queued frames were
-  // admitted at Push), then its source (each frame validated, then
-  // admitted; a shed frame is skipped and the source pulled again) —
-  // appends it to `batch` and preprocesses it into the batch's next
-  // staging image (the batch takes a `cap`-wide tensor from `s`'s bucket
-  // on its first frame). Returns false when `s` has nothing ready.
-  // Step() passes no `io_lock` and holds mu_ throughout; the prefetch
-  // thread passes its lock, which is released around source->Next() and
-  // preprocessing — and when StopPipeline lands during a pull, an admitted
-  // frame is restaged at the queue front instead of staged.
+  // Stage A, one frame of a turn's gather: takes the next admitted frame
+  // of `s` — its Push() queue first (queued frames were admitted at Push),
+  // then its source (each frame validated, then admitted; a shed frame is
+  // skipped and the source pulled again) — appends it to `batch` and
+  // preprocesses it into the next image of the bucket's staging tensor
+  // (grown to `cap` images on the batch's first frame if narrower).
+  // Returns false when `s` has nothing ready. Step() passes no `io_lock`
+  // and holds mu_ throughout; the pipeline driver passes its lock, which is
+  // released around source->Next() and preprocessing — and when
+  // StopPipeline lands during a pull, an admitted frame is restaged at the
+  // queue front instead of staged.
   bool StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
                   std::unique_lock<std::mutex>* io_lock);
-  // Returns the frames of a batch that will never be processed to the
-  // front of their streams' queues, in order, and recycles its staging
-  // tensor: an aborted gather or pipeline opens no gap in any surviving
-  // stream's decision sequence.
-  void Restage(StagedBatch& batch);
   // Stages B + C: bookkeeping, one base-DNN forward over the staged batch,
   // the (stream, tenant) MC fan-out, then phases 3-5 per frame in batch
   // order. Returns frames processed (staged entries whose stream is gone
   // are discarded). Caller must hold mu_. When `deferred_archive` is
   // non-null, archive appends are collected there (with a frame copy)
-  // instead of running inline — the pipelined compute stage pushes them to
-  // the archive-writer thread AFTER releasing mu_, so a full archive queue
-  // can never deadlock against the fleet lock.
+  // instead of running inline — the pipeline driver pushes them to the
+  // archive-writer thread AFTER releasing mu_, so a full archive queue can
+  // never deadlock against the fleet lock.
   std::int64_t ProcessStaged(StagedBatch& batch,
-                             std::vector<ArchiveItem>* deferred_archive =
-                                 nullptr);
+                             std::vector<ArchiveItem>* deferred_archive);
+  // One turn of either schedule: picks the next bucket (round-robin) with a
+  // frame ready, gathers up to `cap` frames round-robin across its streams
+  // (StageFrame), and processes the batch (ProcessStaged). A gather that
+  // throws returns what it took to the queue fronts, so an aborted gather
+  // opens no gap in any surviving stream's decision sequence. Returns
+  // frames processed — 0 when no bucket had a frame ready, or when every
+  // frame gathered belonged to a stream removed mid-gather. Caller holds
+  // mu_; `io_lock` and `deferred_archive` as for StageFrame and
+  // ProcessStaged.
+  std::int64_t RunTurn(std::int64_t cap, std::unique_lock<std::mutex>* io_lock,
+                       std::vector<ArchiveItem>* deferred_archive);
 
-  // Pipeline stage bodies (dedicated threads).
-  void PrefetchThreadMain();
-  void PrefetchLoop(std::unique_lock<std::mutex>& lock);
-  void ComputeThreadMain();
+  // The pipelined schedule's one fleet thread: RunTurn in a loop.
+  void DriverThreadMain();
   // Archive tail (pipelined mode only): pops ArchiveItems and appends them
-  // to their stores. Never takes mu_ while appending, so the compute stage
-  // can block on a full archive queue without holding up this consumer.
+  // to their stores. Never takes mu_ while appending, so the driver can
+  // block on a full archive queue without holding up this consumer.
   void ArchiveThreadMain();
   bool archiving_enabled() const {
     return cfg_.edge_store_capacity > 0 || !cfg_.archive_dir.empty();
   }
-  // Hands the bucket's filling batch to the compute stage. Unlocks `lock`
-  // around the (possibly blocking) bounded-queue push.
-  void FlushFilling(Bucket& b, std::unique_lock<std::mutex>& lock);
   void RecordPipelineError();
 
   void DeliverScore(Stream& s, Tenant& tenant, float score);
@@ -799,8 +784,7 @@ class EdgeFleet {
       retired_stores_;
   StreamHandle next_stream_ = 0;
   McHandle next_handle_ = 0;
-  std::size_t bucket_rr_ = 0;    // sync Step: next bucket to try
-  std::size_t prefetch_rr_ = 0;  // pipeline stage A: next stream to service
+  std::size_t bucket_rr_ = 0;  // next bucket a turn tries first
   bool drained_ = false;
   std::int64_t batches_run_ = 0;
   UploadSink upload_sink_;
@@ -815,23 +799,22 @@ class EdgeFleet {
   std::unique_ptr<XcamPlane> xcam_;
   CrossEventSink cross_event_sink_;
 
-  // Pipeline state (all guarded by mu_; the hand-off queue has its own
+  // Pipeline state (all guarded by mu_; the archive queue has its own
   // internal lock and is only ever pushed/popped with mu_ released).
   mutable std::mutex mu_;
   // The thread inside a SinkScope, or none. Written under mu_; Lock() reads
   // it before taking mu_, and only ever compares it with its own id.
   std::atomic<std::thread::id> sink_thread_{};
-  std::thread prefetch_thread_, compute_thread_, archive_thread_;
-  std::unique_ptr<util::BoundedQueue<StagedBatch>> hand_off_;
+  std::thread driver_thread_, archive_thread_;
   std::unique_ptr<util::BoundedQueue<ArchiveItem>> archive_queue_;
   std::int64_t archive_in_flight_ = 0;  // items queued but not yet appended
   bool pipeline_active_ = false;
   bool pipeline_stop_ = false;
-  bool prefetch_idle_ = false;    // stage A parked with nothing to do
-  std::int64_t in_flight_ = 0;    // frames staged but not yet processed
+  bool driver_idle_ = false;      // driver parked with no frame ready
+  std::int64_t in_flight_ = 0;    // frames gathered but not yet processed
   std::exception_ptr pipeline_error_;
-  std::condition_variable prefetch_cv_;  // wakes stage A (work/space/stop)
-  std::condition_variable idle_cv_;      // wakes WaitPipelineIdle & waiters
+  std::condition_variable driver_cv_;  // wakes the driver (work/stop)
+  std::condition_variable idle_cv_;    // wakes WaitPipelineIdle & waiters
 
   util::PhaseTimer base_timer_, mc_timer_, smooth_timer_, upload_timer_;
 };

@@ -7,8 +7,8 @@
 // asserts it is also identical between the synchronous and pipelined
 // schedules). Production code uses SystemClock, a steady_clock wrapper.
 //
-// Clocks are shared across threads (the fleet's prefetch/compute stages and
-// any caller thread all read one clock), so NowNs() must be thread-safe.
+// Clocks are shared across threads (the fleet's pipeline driver and any
+// caller thread all read one clock), so NowNs() must be thread-safe.
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,7 @@
-// A fixed-size thread pool with a blocking ParallelFor, plus the bounded
-// hand-off queue that long-running pipeline stages use to pass work between
-// dedicated stage threads (stage threads are deliberately NOT pool workers:
-// a stage runs for the pipeline's whole lifetime and would permanently eat a
-// worker the conv kernels need).
+// A fixed-size thread pool with a blocking ParallelFor, plus a bounded
+// hand-off queue for passing work to a dedicated long-running thread (such
+// threads are deliberately NOT pool workers: one runs for the pipeline's
+// whole lifetime and would permanently eat a worker the conv kernels need).
 //
 // The NN kernels parallelize across output channels / rows through this pool.
 // The pool is created once (see GlobalPool) so convolutions do not pay thread
@@ -31,9 +30,9 @@
 
 namespace ff::util {
 
-// Bounded blocking hand-off queue between pipeline stages (the EdgeFleet's
-// staged scheduler hands filled batch buckets from its prefetch stage to its
-// compute stage through one of these). Multi-producer/multi-consumer safe.
+// Bounded blocking hand-off queue between threads (the EdgeFleet's pipeline
+// driver hands archive appends to its archive-writer thread through one of
+// these). Multi-producer/multi-consumer safe.
 //
 // Shutdown protocol: Close() wakes every blocked producer and consumer;
 // after it, Push returns false (the item is NOT enqueued) and Pop keeps
@@ -55,12 +54,7 @@ class BoundedQueue {
 
   // Blocks while the queue is full. Returns true once the item is enqueued,
   // false if the queue was closed first (the item is dropped).
-  bool Push(T item) { return PushOrKeep(item); }
-
-  // Like Push, but when the queue was closed first `item` is left INTACT
-  // (only moved from on success) so the caller can recover it — e.g. the
-  // fleet restages frames of a batch an aborting pipeline refused.
-  bool PushOrKeep(T& item) {
+  bool Push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
     space_cv_.wait(lock,
                    [this] { return closed_ || items_.size() < capacity_; });

@@ -14,7 +14,7 @@
 //     box.
 //   * StallingSource — throws or sleeps at a scripted frame ordinal,
 //     reproducing a camera that dies or stalls mid-stream inside the
-//     pipelined prefetch stage (edge_fleet_pipeline_test pins that the
+//     pipeline driver's gather (edge_fleet_pipeline_test pins that the
 //     failure surfaces at StopPipeline without wedging WaitPipelineIdle and
 //     without corrupting sibling streams).
 //

@@ -18,15 +18,16 @@ class FrameSource {
   virtual ~FrameSource() = default;
   // Next frame, or nullopt at end of stream.
   //
-  // Threading (the fleet's prefetch seam): a source is only ever driven by
-  // ONE thread at a time, but not necessarily the thread that constructed
-  // it — core::EdgeFleet's pipelined driver calls Next() from its dedicated
-  // source-prefetch stage so decode overlaps the base DNN. Implementations
-  // therefore need no internal locking, but must not cache thread-local
-  // state across calls. Next() may block (that is the point: a slow decode
-  // stalls only the prefetch stage); the fleet guarantees the source is not
-  // destroyed or Reset() mid-call (RemoveStream waits for an in-flight
-  // Next() on that stream to return before the handle dies).
+  // Threading: a source is only ever driven by ONE thread at a time, but
+  // not necessarily the thread that constructed it — core::EdgeFleet's
+  // pipelined schedule calls Next() from its driver thread, with the fleet
+  // lock released so Push/churn callers are not held up by decode.
+  // Implementations therefore need no internal locking, but must not cache
+  // thread-local state across calls. Next() may block (a slow decode stalls
+  // the driver's current batch, not the fleet's callers); the fleet
+  // guarantees the source is not destroyed or Reset() mid-call
+  // (RemoveStream waits for an in-flight Next() on that stream to return
+  // before the handle dies).
   virtual std::optional<Frame> Next() = 0;
   virtual void Reset() = 0;
 

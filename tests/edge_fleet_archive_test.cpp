@@ -1,6 +1,6 @@
 // The fleet's archive tail (phase 5) against the durable store subsystem:
 // per-stream pack archives under EdgeFleetConfig::archive_dir, written by
-// the pipelined archive-writer thread without stalling prefetch/compute.
+// the pipelined archive-writer thread without stalling the driver.
 // Pins: (a) the pipelined schedule archives BITWISE-identically to the
 // synchronous one, (b) AddStream/RemoveStream churn mid-run keeps every
 // archive consistent, (c) a removed stream's archive remains fetchable

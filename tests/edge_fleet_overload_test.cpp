@@ -274,7 +274,7 @@ TEST(EdgeFleetOverload, HighPriorityLosesNothingUnderSustainedOverload) {
 
 // The same gates on the threaded pipeline under the real clock: Push-driven
 // streams, each low camera offering twice the high camera's average rate
-// while the stage threads race the pushes. Thread timing decides how much
+// while the driver thread races the pushes. Thread timing decides how much
 // sheds and when, so every check below holds at any timing — a slow Debug
 // or sanitized box sheds more, never differently.
 
@@ -560,7 +560,7 @@ TEST(EdgeFleetOverload, StatsSnapshotsStayConsistentWhilePipelineRuns) {
   fleet.Attach(h1, {.mc = MakeMc(fx, ds1.spec(), "windowed", 952)});
 
   fleet.StartPipeline();
-  // Advance the clock and read stats concurrently with the stages: every
+  // Advance the clock and read stats concurrently with the driver: every
   // snapshot must be internally consistent (never torn) even while
   // admissions and batch completions land on other threads.
   for (int i = 0; i < 200 && fleet.frames_processed() < 2 * kFrames / 2;
@@ -580,7 +580,6 @@ TEST(EdgeFleetOverload, StatsSnapshotsStayConsistentWhilePipelineRuns) {
     EXPECT_EQ(offered, fs.frames_offered);
     for (const auto& b : fleet.bucket_stats()) {
       EXPECT_GE(b.queued, 0);
-      EXPECT_GE(b.staged, 0);
       EXPECT_GE(b.shed, 0);
     }
   }

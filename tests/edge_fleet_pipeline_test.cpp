@@ -5,11 +5,13 @@
 //      streams BITWISE-identical to running one homogeneous fleet per
 //      geometry (and, transitively via edge_fleet_test, to a dedicated
 //      EdgeNode per stream);
-//  (b) PIPELINED DRIVER — StartPipeline/StopPipeline (prefetch thread +
-//      compute thread, bounded hand-off) produces per-stream decisions
+//  (b) PIPELINED DRIVER — StartPipeline/StopPipeline (Step()'s turn run in
+//      a loop on one driver thread, which drops the fleet lock around
+//      FrameSource::Next() and preprocessing) produces per-stream decisions
 //      BITWISE-identical to the synchronous Step() schedule, including
-//      under mid-run AddStream/RemoveStream churn, mixed geometries,
-//      push-driven streams, and stop/restart with a synchronous tail.
+//      under mid-run AddStream/RemoveStream churn (also while the driver is
+//      inside a sibling's Next()), mixed geometries, push-driven streams,
+//      and stop/restart with a synchronous tail.
 //
 // This suite runs under the CI ThreadSanitizer leg.
 #include <gtest/gtest.h>
@@ -126,7 +128,7 @@ TEST(EdgeFleetPipeline, HeterogeneousFleetMatchesHomogeneousFleetsBitwise) {
     // Both buckets really batched (each saw its own streams' frames), and
     // the pipelined schedule kept real batch widths — while a bucket's
     // sources have frames ready its partial batches must NOT flush early
-    // (a prefetch fairness/readiness bug would collapse width toward 1,
+    // (a gather fairness/readiness bug would collapse width toward 1,
     // silently costing the cross-stream batching this scheduler exists
     // for while every bitwise check still passes).
     const auto stats = fleet.bucket_stats();
@@ -196,21 +198,34 @@ TEST(EdgeFleetPipeline, HeterogeneousFleetMatchesHomogeneousFleetsBitwise) {
   }
 }
 
-// Wraps a DatasetSource behind a gate: Next() blocks until Open(). This is
-// how the churn script below makes "AddStream + Attach" atomic with respect
-// to a RUNNING pipeline — between the two calls the prefetch stage may
-// legally stage (and the compute stage process) the new stream's frames,
-// which the synchronous schedule cannot reproduce. Gating the source until
-// the tenant is attached keeps both schedules on the same script.
+// Wraps a DatasetSource behind a gate: Next() calls from the `gate_from`-th
+// on (0-based) block until Open(). This is how the churn script below makes
+// "AddStream + Attach" atomic with respect to a RUNNING pipeline — between
+// the two calls the driver may legally gather and process the new stream's
+// frames, which the synchronous schedule cannot reproduce. Gating the
+// source until the tenant is attached keeps both schedules on the same
+// script.
 class GatedSource : public video::FrameSource {
  public:
-  explicit GatedSource(const video::SyntheticDataset& ds) : src_(ds) {}
+  explicit GatedSource(const video::SyntheticDataset& ds,
+                       std::int64_t gate_from = 0)
+      : src_(ds), gate_from_(gate_from) {}
   std::optional<video::Frame> Next() override {
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return open_; });
+      if (calls_++ >= gate_from_ && !open_) {
+        ++waiting_;
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return open_; });
+        --waiting_;
+      }
     }
     return src_.Next();
+  }
+  // Returns once a Next() caller is waiting at the closed gate.
+  void WaitForBlockedCaller() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return waiting_ > 0; });
   }
   void Reset() override { src_.Reset(); }
   std::int64_t width() const override { return src_.width(); }
@@ -226,8 +241,11 @@ class GatedSource : public video::FrameSource {
 
  private:
   video::DatasetSource src_;
+  const std::int64_t gate_from_;
   std::mutex mu_;
   std::condition_variable cv_;
+  std::int64_t calls_ = 0;
+  std::int64_t waiting_ = 0;
   bool open_ = false;
 };
 
@@ -280,7 +298,7 @@ TEST(EdgeFleetPipeline, PipelinedMatchesSynchronousUnderChurn) {
 
     // C joins mid-run (B is genuinely mid-stream at this point in the
     // synchronous schedule; in the pipelined one the join lands at
-    // whatever batch boundary the compute stage is at). Its source stays
+    // whatever batch boundary the driver is at). Its source stays
     // gated until the tenant is attached, so both schedules see C's
     // tenant live from C's frame 0.
     const StreamHandle hc = fleet.AddStream(sc);
@@ -319,9 +337,76 @@ TEST(EdgeFleetPipeline, PipelinedMatchesSynchronousUnderChurn) {
   ExpectSameResult(piped.c, sync.c);
 }
 
+TEST(EdgeFleetPipeline, SiblingRemovedWhileDriverIsInsideNextStaysBitwise) {
+  // The driver drops the fleet lock inside a stream's Next(), so a SIBLING
+  // of that stream can be removed mid-gather. Script (deterministic): the
+  // 128-px bucket holds R, then G; with max_batch 4 each of its gathers
+  // pulls R, G, R, G. G has 6 frames and its 7th pull — end of stream —
+  // blocks at a gate, so the 4th gather takes R's frame 6 and then sits
+  // inside G's Next(). R is removed right there. The gather must then
+  // re-resolve R by handle (a Stream* kept across the pull would dangle)
+  // and ends with R's frame only, so the turn processes 0 frames while W,
+  // in the 160-px bucket, still has frames: the driver must not park on
+  // that. G and W must match the synchronous schedule bitwise.
+  const std::int64_t kR = 12, kG = 6, kW = 24;
+  const video::SyntheticDataset dsR(CamSpec(128, kR, 151));
+  const video::SyntheticDataset dsG(CamSpec(128, kG, 152));
+  const video::SyntheticDataset dsW(CamSpec(160, kW, 153));
+
+  auto run = [&](bool pipelined) {
+    dnn::FeatureExtractor fx({.include_classifier = false});
+    auto cfg = FleetConfig();
+    cfg.max_batch = 4;
+    EdgeFleet fleet(fx, cfg);
+    video::DatasetSource sr(dsR), sw(dsW);
+    GatedSource sg(dsG, /*gate_from=*/kG);
+    if (!pipelined) sg.Open();
+    const StreamHandle hr = fleet.AddStream(sr);
+    const StreamHandle hg = fleet.AddStream(sg);
+    const StreamHandle hw = fleet.AddStream(sw);
+    fleet.Attach(hr, {.mc = MakeMc(fx, dsR.spec(), "localized", 851)});
+    ResultCollector cg, cw;
+    McSpec spec_g{.mc = MakeMc(fx, dsG.spec(), "windowed", 852)};
+    cg.Bind(spec_g);
+    fleet.Attach(hg, std::move(spec_g));
+    McSpec spec_w{.mc = MakeMc(fx, dsW.spec(), "localized", 853)};
+    cw.Bind(spec_w);
+    fleet.Attach(hw, std::move(spec_w));
+
+    if (pipelined) {
+      fleet.StartPipeline();
+      sg.WaitForBlockedCaller();
+      // The driver is inside G's end-of-stream Next() with R's frame 6
+      // gathered and not processed.
+      EXPECT_EQ(fleet.frames_processed(hr), 6);
+      EXPECT_EQ(fleet.frames_processed(hg), kG);
+      EXPECT_EQ(fleet.fleet_stats().in_flight, 1);
+      fleet.RemoveStream(hr);
+      sg.Open();
+      fleet.WaitPipelineIdle();
+      fleet.StopPipeline();
+    } else {
+      fleet.RemoveStream(hr);
+      while (fleet.Step() > 0) {
+      }
+    }
+    fleet.Drain();
+    EXPECT_FALSE(fleet.HasStream(hr));
+    EXPECT_EQ(fleet.frames_processed(hg), kG);
+    EXPECT_EQ(fleet.frames_processed(hw), kW);
+    EXPECT_EQ(fx.TapRefs(kTap), 0);
+    return std::make_pair(cg.result(), cw.result());
+  };
+
+  const auto [pg, pw] = run(/*pipelined=*/true);
+  const auto [sg, sw] = run(/*pipelined=*/false);
+  ExpectSameResult(pg, sg);
+  ExpectSameResult(pw, sw);
+}
+
 TEST(EdgeFleetPipeline, PushDrivenStreamsFlowThroughThePipeline) {
   // A push-driven stream (no FrameSource) fed while the pipeline runs:
-  // the prefetch stage drains the bounded queue, and the result matches
+  // the driver drains the bounded queue, and the result matches
   // the synchronous schedule bitwise.
   const std::int64_t kFrames = 9;
   const video::SyntheticDataset ds(CamSpec(128, kFrames, 91));
@@ -369,9 +454,9 @@ TEST(EdgeFleetPipeline, PushDrivenStreamsFlowThroughThePipeline) {
 
 TEST(EdgeFleetPipeline, QuietBucketFlushesWhileSiblingBucketStaysBusy) {
   // Bucket starvation regression: a partially filled bucket whose streams
-  // have gone quiet must flush MID-RUN, even while a sibling bucket's
-  // sources keep the prefetch stage busy — its staged decisions must not
-  // be withheld until StopPipeline.
+  // have gone quiet must be processed MID-RUN, even while a sibling
+  // bucket's sources keep the driver busy — its decisions must not be
+  // withheld until StopPipeline.
   const std::int64_t kBusyFrames = 36;
   const video::SyntheticDataset busy0(CamSpec(128, kBusyFrames, 86));
   const video::SyntheticDataset busy1(CamSpec(128, kBusyFrames, 87));
@@ -398,7 +483,7 @@ TEST(EdgeFleetPipeline, QuietBucketFlushesWhileSiblingBucketStaysBusy) {
 
   fleet.StartPipeline();
   fleet.Push(hq, quiet.RenderFrame(0));
-  // The single staged frame must come back while the busy wall still has
+  // The single pushed frame must come back while the busy wall still has
   // work — under the starvation bug it only surfaced once every busy
   // source was exhausted (or at StopPipeline).
   WaitUntil([&] { return fleet.frames_processed(hq) == 1; });
@@ -461,8 +546,8 @@ TEST(EdgeFleetPipeline, StopRestartAndSynchronousTailStayBitwise) {
 
 // A FrameSource that advertises one geometry but yields another — the
 // pipelined analogue of edge_fleet_test's mid-gather validation: the
-// prefetch stage must fail loudly and the error must surface at
-// StopPipeline, not vanish on a background thread.
+// driver must fail loudly and the error must surface at StopPipeline, not
+// vanish on a background thread.
 class LyingSource : public video::FrameSource {
  public:
   explicit LyingSource(const video::DatasetSpec& claimed)
@@ -487,7 +572,7 @@ TEST(EdgeFleetPipeline, PrefetchStageErrorSurfacesAtStop) {
   const StreamHandle h = fleet.AddStream(liar);
   fleet.Attach(h, {.mc = MakeMc(fx, ds.spec(), "localized", 801)});
   fleet.StartPipeline();
-  fleet.WaitPipelineIdle();  // returns when a stage fails, too
+  fleet.WaitPipelineIdle();  // returns when the driver fails, too
   EXPECT_THROW(fleet.StopPipeline(), util::CheckError);
   EXPECT_FALSE(fleet.pipeline_active());
   // The fleet survives the failed pipeline: the liar can be removed and
@@ -498,11 +583,11 @@ TEST(EdgeFleetPipeline, PrefetchStageErrorSurfacesAtStop) {
 }
 
 TEST(EdgeFleetPipeline, DeadCameraSurfacesAtStopAndSiblingStaysBitwise) {
-  // A camera dies (FrameSource::Next() throws) inside the prefetch stage
+  // A camera dies (FrameSource::Next() throws) inside the driver's gather
   // mid-run. The error must surface at StopPipeline — not vanish on the
   // background thread and not wedge WaitPipelineIdle — and the SIBLING
   // stream must come through bitwise-identical to a run that never shared
-  // the box with the dead camera: an aborting pipeline restages staged
+  // the box with the dead camera: an aborting pipeline restages gathered
   // frames instead of dropping them.
   const std::int64_t kFrames = 14;
   const video::SyntheticDataset ds_dead(CamSpec(128, kFrames, 131));
@@ -540,7 +625,7 @@ TEST(EdgeFleetPipeline, DeadCameraSurfacesAtStopAndSiblingStaysBitwise) {
   fleet.Attach(ho, std::move(spec));
 
   fleet.StartPipeline();
-  fleet.WaitPipelineIdle();  // must return when the stage fails, not wedge
+  fleet.WaitPipelineIdle();  // must return when the driver fails, not wedge
   EXPECT_THROW(fleet.StopPipeline(), std::runtime_error);
   EXPECT_FALSE(fleet.pipeline_active());
   EXPECT_GE(dead.throws(), 1);

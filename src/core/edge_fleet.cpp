@@ -8,6 +8,13 @@
 #include "tensor/tensor_view.hpp"
 
 namespace ff::core {
+namespace {
+
+// Sliding-window size for the per-stream and fleet-wide ingest→decision
+// latency percentiles reported by fleet_stats().
+constexpr std::size_t kLatencyWindow = 512;
+
+}  // namespace
 
 void ResultCollector::Bind(McSpec& spec) {
   FF_CHECK_MSG(spec.mc != nullptr, "Bind needs a spec holding an MC");
@@ -57,8 +64,7 @@ EdgeFleet::EdgeFleet(dnn::FeatureExtractor& fx, const EdgeFleetConfig& cfg)
       cfg_(cfg),
       clock_(cfg.clock != nullptr ? cfg.clock
                                   : &util::SystemClock::Instance()),
-      fleet_latency_(static_cast<std::size_t>(
-          std::max<std::int64_t>(cfg.latency_window, 1))) {
+      fleet_latency_(kLatencyWindow) {
   // Fail at construction, not first Attach: KVotingSmoother would throw
   // these checks after the tap reference was already taken.
   FF_CHECK_GE(cfg.vote_window, 1);
@@ -70,7 +76,6 @@ EdgeFleet::EdgeFleet(dnn::FeatureExtractor& fx, const EdgeFleetConfig& cfg)
   FF_CHECK_GE(cfg.shed_breach_frames, 1);
   FF_CHECK_GE(cfg.shed_recover_frames, 1);
   FF_CHECK_GE(cfg.max_keep_every, 1);
-  FF_CHECK_GE(cfg.latency_window, 1);
   // A queue-depth trigger at or above the queue capacity could never fire:
   // Push would throw queue-full first. Catch the misconfig loudly.
   if (cfg.shed_queue_depth > 0 && cfg.queue_capacity > 0) {
@@ -154,8 +159,7 @@ StreamHandle EdgeFleet::FinishAddStream(std::unique_ptr<Stream> s) {
     s->in_topology = true;
     s->bg = std::make_unique<xcam::BackgroundModel>();
   }
-  s->latency = util::WindowedStat(
-      static_cast<std::size_t>(cfg_.latency_window));
+  s->latency = util::WindowedStat(kLatencyWindow);
   streams_.push_back(std::move(s));
   // A pipelined fleet has a new stream to service.
   driver_cv_.notify_all();

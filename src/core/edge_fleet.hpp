@@ -267,9 +267,6 @@ struct EdgeFleetConfig {
   // offered frame, so max_keep_every bounds the worst-case shed ratio at
   // (k-1)/k and is what "fully decimated" means for the priority gate.
   std::int64_t max_keep_every = 8;
-  // Sliding-window size for the per-stream and fleet-wide ingest→decision
-  // latency percentiles reported by fleet_stats().
-  std::int64_t latency_window = 512;
 };
 
 // Per-stream geometry. Zeros mean "read it from the source's metadata
@@ -300,8 +297,8 @@ struct BucketStats {
 // Per-stream overload/latency accounting (fleet_stats()). Latency is
 // ingest→decision wall time: from the frame's capture timestamp (stamped at
 // admission when the source did not provide one) to the end of the batch
-// that processed it, in milliseconds, over the last `latency_window`
-// processed frames. Percentile fields are 0 until a frame has completed.
+// that processed it, in milliseconds, over the last 512 processed frames.
+// Percentile fields are 0 until a frame has completed.
 struct StreamStats {
   StreamHandle handle = -1;
   std::int64_t priority = 0;

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "util/check.hpp"
@@ -38,8 +37,8 @@ void PwAcc8ByQuads(const float* const* x, std::int64_t n_ic, const float* w,
   }
 }
 
-// qpw_acc2/qpw_acc2p for the tiers without a fused pair: the one-channel
-// kernel once per output channel, which is the pair's contract.
+// qpw_acc2/qpw_acc2p for the scalar reference: the one-channel kernel once
+// per output channel, which is the pair's contract.
 template <auto QAcc1Fn, typename X>
 void QPwAcc2ByOnes(X x, std::int64_t n_ic, const std::int8_t* w0,
                    const std::int8_t* w1, std::int32_t* acc0,
@@ -374,416 +373,6 @@ const OpTable& Table() { return kTable; }
 #if FF_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 — x86-64 baseline, always available on this architecture.
-// ---------------------------------------------------------------------------
-namespace sse2 {
-namespace {
-
-void PwAcc4(const float* const* x, std::int64_t n_ic, const float* w,
-            std::int64_t w_stride, float* y0, float* y1, float* y2, float* y3,
-            std::int64_t n) {
-  const float* w0 = w;
-  const float* w1 = w + w_stride;
-  const float* w2 = w + 2 * w_stride;
-  const float* w3 = w + 3 * w_stride;
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 a0 = _mm_loadu_ps(y0 + i), a1 = _mm_loadu_ps(y1 + i);
-    __m128 a2 = _mm_loadu_ps(y2 + i), a3 = _mm_loadu_ps(y3 + i);
-    for (std::int64_t ic = 0; ic < n_ic; ++ic) {
-      const __m128 v = _mm_loadu_ps(x[ic] + i);
-      a0 = _mm_add_ps(a0, _mm_mul_ps(_mm_set1_ps(w0[ic]), v));
-      a1 = _mm_add_ps(a1, _mm_mul_ps(_mm_set1_ps(w1[ic]), v));
-      a2 = _mm_add_ps(a2, _mm_mul_ps(_mm_set1_ps(w2[ic]), v));
-      a3 = _mm_add_ps(a3, _mm_mul_ps(_mm_set1_ps(w3[ic]), v));
-    }
-    _mm_storeu_ps(y0 + i, a0);
-    _mm_storeu_ps(y1 + i, a1);
-    _mm_storeu_ps(y2 + i, a2);
-    _mm_storeu_ps(y3 + i, a3);
-  }
-  for (; i < n; ++i) {
-    float a0 = y0[i], a1 = y1[i], a2 = y2[i], a3 = y3[i];
-    for (std::int64_t ic = 0; ic < n_ic; ++ic) {
-      const float v = x[ic][i];
-      a0 += w0[ic] * v;
-      a1 += w1[ic] * v;
-      a2 += w2[ic] * v;
-      a3 += w3[ic] * v;
-    }
-    y0[i] = a0;
-    y1[i] = a1;
-    y2[i] = a2;
-    y3[i] = a3;
-  }
-}
-
-void PwAcc1(const float* const* x, std::int64_t n_ic, const float* w,
-            float* y, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 a = _mm_loadu_ps(y + i);
-    for (std::int64_t ic = 0; ic < n_ic; ++ic) {
-      a = _mm_add_ps(
-          a, _mm_mul_ps(_mm_set1_ps(w[ic]), _mm_loadu_ps(x[ic] + i)));
-    }
-    _mm_storeu_ps(y + i, a);
-  }
-  for (; i < n; ++i) {
-    float a = y[i];
-    for (std::int64_t ic = 0; ic < n_ic; ++ic) a += w[ic] * x[ic][i];
-    y[i] = a;
-  }
-}
-
-void Relu6(const float* x, float* y, std::int64_t n) {
-  const __m128 zero = _mm_setzero_ps();
-  const __m128 six = _mm_set1_ps(6.0f);
-  // max(x, 0) first: maxps returns the second operand on NaN, so NaN -> 0,
-  // matching the scalar `v > 0 ? v : 0`.
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(y + i,
-                  _mm_min_ps(_mm_max_ps(_mm_loadu_ps(x + i), zero), six));
-  }
-  for (; i < n; ++i) {
-    const float r = x[i] > 0.0f ? x[i] : 0.0f;
-    y[i] = r < 6.0f ? r : 6.0f;
-  }
-}
-
-std::uint32_t SadU8(const std::uint8_t* a, const std::uint8_t* b,
-                    std::int64_t n) {
-  __m128i acc = _mm_setzero_si128();
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-  }
-  std::uint32_t sad = static_cast<std::uint32_t>(
-      _mm_cvtsi128_si64(acc) + _mm_cvtsi128_si64(_mm_srli_si128(acc, 8)));
-  for (; i < n; ++i) {
-    sad += static_cast<std::uint32_t>(
-        a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]);
-  }
-  return sad;
-}
-
-std::uint32_t Sad16x16(const std::uint8_t* a, std::int64_t stride_a,
-                       const std::uint8_t* b, std::int64_t stride_b) {
-  __m128i acc = _mm_setzero_si128();
-  for (int y = 0; y < 16; ++y) {
-    const __m128i va = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(a + y * stride_a));
-    const __m128i vb = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(b + y * stride_b));
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-  }
-  return static_cast<std::uint32_t>(
-      _mm_cvtsi128_si64(acc) + _mm_cvtsi128_si64(_mm_srli_si128(acc, 8)));
-}
-
-void QAxpyRows(std::int32_t w, const std::uint8_t* x, std::int64_t x_stride,
-               std::int32_t* acc, std::int64_t acc_stride, std::int64_t rows,
-               std::int64_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i wv = _mm_set1_epi16(static_cast<short>(w));
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint8_t* xr = x + r * x_stride;
-    std::int32_t* ar = acc + r * acc_stride;
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m128i xb =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xr + i));
-      // |w * x| <= 127*255 = 32385, so the s16 product is exact.
-      const __m128i p = _mm_mullo_epi16(_mm_unpacklo_epi8(xb, zero), wv);
-      const __m128i sign = _mm_cmpgt_epi16(zero, p);
-      const __m128i plo = _mm_unpacklo_epi16(p, sign);
-      const __m128i phi = _mm_unpackhi_epi16(p, sign);
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(ar + i),
-          _mm_add_epi32(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(ar + i)), plo));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(ar + i + 4),
-          _mm_add_epi32(_mm_loadu_si128(
-                            reinterpret_cast<const __m128i*>(ar + i + 4)),
-                        phi));
-    }
-    for (; i < n; ++i) ar[i] += w * xr[i];
-  }
-}
-
-// Emulates maddubs+madd for one transposed channel quad `u` (16 bytes =
-// 4 pixels x 4 channels): exact u8*s8 pair sums via madd, saturated to s16
-// via packs, then summed per pixel. wq holds [w0..w3, w0..w3] as s16.
-inline __m128i QQuadMadd(__m128i u, __m128i wq, __m128i zero, __m128i ones) {
-  const __m128i xlo = _mm_unpacklo_epi8(u, zero);  // px0, px1 quads as u16
-  const __m128i xhi = _mm_unpackhi_epi8(u, zero);  // px2, px3
-  const __m128i mlo = _mm_madd_epi16(xlo, wq);     // exact pair sums
-  const __m128i mhi = _mm_madd_epi16(xhi, wq);
-  const __m128i s = _mm_packs_epi32(mlo, mhi);     // sat16 per pair
-  return _mm_madd_epi16(s, ones);                  // per-pixel quad sums
-}
-
-void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
-             const std::int8_t* w, std::int32_t* acc, std::int64_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i ones = _mm_set1_epi16(1);
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i a0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    __m128i a1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i + 4));
-    __m128i a2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i + 8));
-    __m128i a3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i + 12));
-    std::int64_t ic = 0;
-    for (; ic + 4 <= n_ic; ic += 4) {
-      const __m128i r0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x[ic] + i));
-      const __m128i r1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x[ic + 1] + i));
-      const __m128i r2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x[ic + 2] + i));
-      const __m128i r3 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x[ic + 3] + i));
-      // Byte transpose: u_k holds pixels 4k..4k+3 as contiguous channel
-      // quads [c0 c1 c2 c3] per pixel.
-      const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
-      const __m128i t1 = _mm_unpackhi_epi8(r0, r1);
-      const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-      const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-      const __m128i u0 = _mm_unpacklo_epi16(t0, t2);
-      const __m128i u1 = _mm_unpackhi_epi16(t0, t2);
-      const __m128i u2 = _mm_unpacklo_epi16(t1, t3);
-      const __m128i u3 = _mm_unpackhi_epi16(t1, t3);
-      const __m128i wq =
-          _mm_set_epi16(w[ic + 3], w[ic + 2], w[ic + 1], w[ic], w[ic + 3],
-                        w[ic + 2], w[ic + 1], w[ic]);
-      a0 = _mm_add_epi32(a0, QQuadMadd(u0, wq, zero, ones));
-      a1 = _mm_add_epi32(a1, QQuadMadd(u1, wq, zero, ones));
-      a2 = _mm_add_epi32(a2, QQuadMadd(u2, wq, zero, ones));
-      a3 = _mm_add_epi32(a3, QQuadMadd(u3, wq, zero, ones));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), a0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i + 4), a1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i + 8), a2);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i + 12), a3);
-    if (ic < n_ic) {
-      for (std::int64_t p = 0; p < 16; ++p) {
-        acc[i + p] += qdetail::QPwPixel(x, ic, n_ic, w, i + p);
-      }
-    }
-  }
-  for (; i < n; ++i) acc[i] += qdetail::QPwPixel(x, 0, n_ic, w, i);
-}
-
-void QPwPack(const std::uint8_t* const* x, std::int64_t n_ic,
-             std::uint8_t* out, std::int64_t n) {
-  const std::int64_t quads = n_ic / 4;
-  for (std::int64_t q = 0; q < quads; ++q) {
-    std::uint8_t* oq = out + q * 4 * n;
-    const std::uint8_t* x0 = x[4 * q];
-    const std::uint8_t* x1 = x[4 * q + 1];
-    const std::uint8_t* x2 = x[4 * q + 2];
-    const std::uint8_t* x3 = x[4 * q + 3];
-    std::int64_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-      const __m128i r0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x0 + i));
-      const __m128i r1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x1 + i));
-      const __m128i r2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x2 + i));
-      const __m128i r3 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x3 + i));
-      const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
-      const __m128i t1 = _mm_unpackhi_epi8(r0, r1);
-      const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-      const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(oq + 4 * i),
-                       _mm_unpacklo_epi16(t0, t2));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(oq + 4 * i + 16),
-                       _mm_unpackhi_epi16(t0, t2));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(oq + 4 * i + 32),
-                       _mm_unpacklo_epi16(t1, t3));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(oq + 4 * i + 48),
-                       _mm_unpackhi_epi16(t1, t3));
-    }
-    for (; i < n; ++i) {
-      oq[4 * i] = x0[i];
-      oq[4 * i + 1] = x1[i];
-      oq[4 * i + 2] = x2[i];
-      oq[4 * i + 3] = x3[i];
-    }
-  }
-  if (4 * quads < n_ic) {
-    std::uint8_t* oq = out + quads * 4 * n;
-    for (std::int64_t j = 0; j < 4; ++j) {
-      const std::int64_t ic = 4 * quads + j;
-      if (ic < n_ic) {
-        const std::uint8_t* xp = x[ic];
-        for (std::int64_t i = 0; i < n; ++i) oq[4 * i + j] = xp[i];
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) oq[4 * i + j] = 0;
-      }
-    }
-  }
-}
-
-void QPwAcc1P(const std::uint8_t* packed, std::int64_t n_ic,
-              const std::int8_t* w, std::int32_t* acc, std::int64_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i ones = _mm_set1_epi16(1);
-  const std::int64_t quads = (n_ic + 3) / 4;
-  // s32 accumulation is exact, so streaming quad-by-quad reorders nothing.
-  for (std::int64_t q = 0; q < quads; ++q) {
-    std::int8_t wqb[4];
-    qdetail::QuadW(w, q, n_ic, wqb);
-    const __m128i wq =
-        _mm_set_epi16(wqb[3], wqb[2], wqb[1], wqb[0], wqb[3], wqb[2],
-                      wqb[1], wqb[0]);
-    const std::uint8_t* pq = packed + q * 4 * n;
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128i u =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(pq + 4 * i));
-      const __m128i a =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                       _mm_add_epi32(a, QQuadMadd(u, wq, zero, ones)));
-    }
-    for (; i < n; ++i) acc[i] += qdetail::QPackedPixel(pq + 4 * i, wqb);
-  }
-}
-
-void QAxpyRowsS2(std::int32_t w, const std::uint8_t* x,
-                 std::int64_t x_stride, std::int32_t* acc,
-                 std::int64_t acc_stride, std::int64_t rows, std::int64_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i wv = _mm_set1_epi16(static_cast<short>(w));
-  const __m128i mask = _mm_set1_epi16(0x00FF);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint8_t* xr = x + r * x_stride;
-    std::int32_t* ar = acc + r * acc_stride;
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m128i b =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr + 2 * i));
-      // Even bytes zero-extended to u16; |w * x| <= 32385 so the s16
-      // product is exact.
-      const __m128i p = _mm_mullo_epi16(_mm_and_si128(b, mask), wv);
-      const __m128i sign = _mm_cmpgt_epi16(zero, p);
-      const __m128i plo = _mm_unpacklo_epi16(p, sign);
-      const __m128i phi = _mm_unpackhi_epi16(p, sign);
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(ar + i),
-          _mm_add_epi32(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(ar + i)),
-              plo));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(ar + i + 4),
-          _mm_add_epi32(_mm_loadu_si128(
-                            reinterpret_cast<const __m128i*>(ar + i + 4)),
-                        phi));
-    }
-    for (; i < n; ++i) ar[i] += w * xr[2 * i];
-  }
-}
-
-std::int32_t QDot(const std::uint8_t* x, const std::int8_t* w,
-                  std::int64_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i ones = _mm_set1_epi16(1);
-  __m128i accv = _mm_setzero_si128();
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i xb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i wb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    const __m128i xlo = _mm_unpacklo_epi8(xb, zero);
-    const __m128i xhi = _mm_unpackhi_epi8(xb, zero);
-    const __m128i wsign = _mm_cmpgt_epi8(zero, wb);
-    const __m128i wlo = _mm_unpacklo_epi8(wb, wsign);
-    const __m128i whi = _mm_unpackhi_epi8(wb, wsign);
-    const __m128i mlo = _mm_madd_epi16(xlo, wlo);  // exact pair sums
-    const __m128i mhi = _mm_madd_epi16(xhi, whi);
-    const __m128i s = _mm_packs_epi32(mlo, mhi);   // sat16 per pair
-    accv = _mm_add_epi32(accv, _mm_madd_epi16(s, ones));
-  }
-  alignas(16) std::int32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), accv);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-         qdetail::QDotTail(x + i, w + i, n - i);
-}
-
-void QRequant(const std::int32_t* acc, float scale, float bias,
-              std::uint8_t* y, std::int64_t n) {
-  const __m128 vs = _mm_set1_ps(scale);
-  const __m128 vb = _mm_set1_ps(bias);
-  const __m128 zero = _mm_setzero_ps();
-  const __m128 v255 = _mm_set1_ps(255.0f);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 t = _mm_cvtepi32_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i)));
-    t = _mm_add_ps(_mm_mul_ps(t, vs), vb);
-    t = _mm_max_ps(t, zero);  // NaN -> 0, like relu
-    t = _mm_min_ps(t, v255);
-    const __m128i q = _mm_cvtps_epi32(t);  // round-to-nearest-even
-    const __m128i p16 = _mm_packs_epi32(q, q);
-    const __m128i p8 = _mm_packus_epi16(p16, p16);
-    const int v = _mm_cvtsi128_si32(p8);
-    std::memcpy(y + i, &v, 4);
-  }
-  for (; i < n; ++i) y[i] = qdetail::QRequantOne(acc[i], scale, bias);
-}
-
-void QQuant(const float* x, float inv_scale, float zp, std::uint8_t* y,
-            std::int64_t n) {
-  const __m128 vs = _mm_set1_ps(inv_scale);
-  const __m128 vzp = _mm_set1_ps(zp);
-  const __m128 zero = _mm_setzero_ps();
-  const __m128 v255 = _mm_set1_ps(255.0f);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 t = _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(x + i), vs), vzp);
-    t = _mm_max_ps(t, zero);
-    t = _mm_min_ps(t, v255);
-    const __m128i q = _mm_cvtps_epi32(t);
-    const __m128i p16 = _mm_packs_epi32(q, q);
-    const __m128i p8 = _mm_packus_epi16(p16, p16);
-    const int v = _mm_cvtsi128_si32(p8);
-    std::memcpy(y + i, &v, 4);
-  }
-  for (; i < n; ++i) y[i] = qdetail::QQuantOne(x[i], inv_scale, zp);
-}
-
-// Entries whose SSE2 copy measured under 1.3x the scalar reference (which
-// the compiler auto-vectorizes), and the stride-2 rows, are the scalar
-// functions.
-constexpr OpTable kTable = {
-    scalar::Fill,   scalar::Axpy, scalar::Axpy4, scalar::AxpyRows,
-    scalar::Axpy4Rows,            scalar::AxpyRowsS2,          PwAcc4,
-    PwAcc8ByQuads<PwAcc4>,        PwAcc1,        scalar::Dot,
-    scalar::Relu,   Relu6,        SadU8,         Sad16x16,
-    QAxpyRows,      QPwAcc1,
-    QPwAcc2ByOnes<QPwAcc1, const std::uint8_t* const*>,
-    QPwPack,        QPwAcc1P,
-    QPwAcc2ByOnes<QPwAcc1P, const std::uint8_t*>,
-    QAxpyRowsS2,    QDot,         QRequant,      scalar::QDequant,
-    QQuant};
-
-}  // namespace
-}  // namespace sse2
-
-// ---------------------------------------------------------------------------
 // AVX2 — gated at runtime by CPUID; compiled via the target attribute so the
 // baseline build still carries it.
 // ---------------------------------------------------------------------------
@@ -1053,6 +642,22 @@ FF_AVX2 std::uint32_t SadU8(const std::uint8_t* a, const std::uint8_t* b,
         a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]);
   }
   return sad;
+}
+
+// A 16-byte row fills one xmm register, so this is baseline 128-bit psadbw
+// without the AVX2 target: a 256-bit copy measured no faster.
+std::uint32_t Sad16x16(const std::uint8_t* a, std::int64_t stride_a,
+                       const std::uint8_t* b, std::int64_t stride_b) {
+  __m128i acc = _mm_setzero_si128();
+  for (int y = 0; y < 16; ++y) {
+    const __m128i va = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(a + y * stride_a));
+    const __m128i vb = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(b + y * stride_b));
+    acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
+  }
+  return static_cast<std::uint32_t>(
+      _mm_cvtsi128_si64(acc) + _mm_cvtsi128_si64(_mm_srli_si128(acc, 8)));
 }
 
 FF_AVX2 void QAxpyRows(std::int32_t w, const std::uint8_t* x,
@@ -1587,13 +1192,12 @@ FF_AVX2 void QQuant(const float* x, float inv_scale, float zp,
 
 #undef FF_AVX2
 
-// axpy4 and sad16x16 point at the tier below: the AVX2 copies measured no
-// better than 1.3x (axpy4) or no faster (sad16x16) than it.
+// axpy4 is the scalar reference: the AVX2 copy measured under 1.3x faster.
 constexpr OpTable kTable = {Fill,      Axpy,       scalar::Axpy4, AxpyRows,
                             Axpy4Rows, AxpyRowsS2, PwAcc4,
                             PwAcc8ByQuads<PwAcc4>,
                             PwAcc1,    Dot,        Relu,      Relu6,
-                            SadU8,     sse2::Sad16x16, QAxpyRows, QPwAcc1,
+                            SadU8,     Sad16x16,   QAxpyRows, QPwAcc1,
                             QPwAcc2,   QPwPack,    QPwAcc1P,  QPwAcc2P,
                             QAxpyRowsS2, QDot,     QRequant,  QDequant,
                             QQuant};
@@ -1749,17 +1353,17 @@ Isa EnvCap() {
   const char* env = std::getenv("FF_SIMD");
   if (env == nullptr) return Isa::kAvx512;
   const std::string s(env);
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     if (s == IsaName(isa)) return isa;
   }
-  FF_CHECK_MSG(false, "FF_SIMD=" << s
-                                 << " is not one of scalar/sse2/avx2/avx512");
+  FF_CHECK_MSG(false,
+               "FF_SIMD=" << s << " is not one of scalar/avx2/avx512");
   return Isa::kScalar;
 }
 
 Isa DetectIsa() {
   const Isa cap = EnvCap();
-  for (const Isa isa : {Isa::kAvx512, Isa::kAvx2, Isa::kSse2}) {
+  for (const Isa isa : {Isa::kAvx512, Isa::kAvx2}) {
     if (cap >= isa && TableFor(isa) != nullptr) return isa;
   }
   return Isa::kScalar;
@@ -1787,8 +1391,6 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
@@ -1802,8 +1404,6 @@ const OpTable* TableFor(Isa isa) {
     case Isa::kScalar:
       return &scalar::Table();
 #if FF_KERNELS_X86
-    case Isa::kSse2:
-      return &sse2::kTable;
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") ? &avx2::kTable : nullptr;
     case Isa::kAvx512:
@@ -1812,7 +1412,6 @@ const OpTable* TableFor(Isa isa) {
                  ? &avx512::kTable
                  : nullptr;
 #else
-    case Isa::kSse2:
     case Isa::kAvx2:
     case Isa::kAvx512:
       return nullptr;

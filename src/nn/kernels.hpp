@@ -7,12 +7,12 @@
 // Contract: every kernel has one *reference* implementation (namespace
 // `scalar`) and zero or more SIMD implementations selected at startup by
 // compile-time support ∩ runtime CPUID ∩ the FF_SIMD env cap. The tiers are
-// scalar, sse2 (x86-64 baseline), avx2 and avx512 (AVX-512F; its table is
-// the avx2 table with pw_acc8 and axpy_rows_s2 overridden). FF_SIMD takes
-// exactly those four names; anything else fails loudly. A tier entry that
-// does not beat its fallback by 1.3x points at the fallback's function
-// instead of carrying a copy. All implementations of a kernel are
-// BITWISE-IDENTICAL for every input:
+// scalar, avx2 and avx512 (AVX-512F; its table is the avx2 table with
+// pw_acc8 and axpy_rows_s2 overridden); an x86-64 host without AVX2 runs
+// the scalar reference. FF_SIMD takes exactly those three names; anything
+// else fails loudly. A tier entry that does not beat its fallback by 1.3x
+// points at the fallback's function instead of carrying a copy. All
+// implementations of a kernel are BITWISE-IDENTICAL for every input:
 //
 //  * axpy/axpy4/axpy_rows_s2/fill/relu/relu6 are elementwise IEEE single
 //    ops, so lane width cannot change results. The SIMD paths use separate
@@ -54,9 +54,9 @@
 namespace ff::nn::kernels {
 
 // Instruction sets in increasing capability order. kScalar is always
-// available; on x86-64 kSse2 is too (baseline); kAvx2 and kAvx512 need
-// CPUID (AVX2, and AVX-512F plus AVX2).
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
+// available; kAvx2 and kAvx512 need x86-64 and CPUID (AVX2, and AVX-512F
+// plus AVX2).
+enum class Isa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* IsaName(Isa isa);
 
@@ -197,8 +197,8 @@ struct OpTable {
 // Tests iterate supported ISAs and pin each against `scalar::Table()`.
 const OpTable* TableFor(Isa isa);
 
-// Highest supported ISA, capped by the FF_SIMD env var ("scalar", "sse2",
-// "avx2", "avx512"); resolved once on first use.
+// Highest supported ISA, capped by the FF_SIMD env var ("scalar", "avx2",
+// "avx512"); resolved once on first use.
 Isa ActiveIsa();
 
 // The active table (never nullptr).

@@ -20,15 +20,15 @@
 namespace ff::nn::kernels {
 namespace {
 
-// Vector-width boundaries for every implementation in the library (4 for
-// SSE2 floats, 8 for AVX2 floats, 16/32 for the SAD byte kernels) plus odd
-// tails and a larger run.
+// Vector-width boundaries for every implementation in the library (8 for
+// AVX2 floats, 16 for AVX-512 floats, 16/32 for the SAD byte kernels) plus
+// short runs, odd tails and a larger run.
 const std::int64_t kLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
                                  15, 16, 17, 31, 32, 33, 63, 64, 65, 200};
 
 std::vector<Isa> SimdIsas() {
   std::vector<Isa> isas;
-  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+  for (const Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (TableFor(isa) != nullptr) isas.push_back(isa);
   }
   return isas;
@@ -315,7 +315,7 @@ TEST(KernelParity, ReluAndRelu6WithSpecials) {
 // the host supports, the scalar reference included, must match the
 // out-of-place scalar result there too.
 TEST(KernelParity, ReluAndRelu6InPlace) {
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     const OpTable* table = TableFor(isa);
     if (table == nullptr) continue;
     for (const std::int64_t n : kLengths) {

@@ -7,7 +7,10 @@
 // the fleet fuse each scripted object's four per-stream events into ONE
 // CrossEventRecord, elect a canonical view, and ship the other three
 // members as metadata-only tombstones — the wall uploads each physical
-// event's clip once instead of four times.
+// event's clip once instead of four times. The canonical camera is known
+// before any event closes (the highest-priority camera, the wall's
+// *lead*), so it uploads as it decides, undeferred; only the other three
+// hold their packets until the correlator's verdict.
 //
 // The wall runs twice, without and with the topology, so the uplink byte
 // cut is printed from measurement rather than asserted. The tenants are
@@ -151,12 +154,15 @@ int main() {
                     dedup.bytes_per_cam[static_cast<std::size_t>(c)]),
                 static_cast<long long>(
                     dedup.suppressed_per_cam[static_cast<std::size_t>(c)]),
-                c == 2 ? "  <- canonical (elected by priority)" : "");
+                c == 2 ? "  <- canonical lead (elected by priority, "
+                         "uploads undeferred)"
+                       : "");
   }
 
   std::printf("\nuplink clip bytes: %llu without topology, %llu with "
-              "(%.2fx cut) — each physical event uploaded once, the other "
-              "views shipped as metadata-only tombstones that still carry "
+              "(%.2fx cut) — each physical event uploaded once, by the "
+              "lead as it decided; the other views shipped as "
+              "metadata-only tombstones after the verdict, still carrying "
               "event identity to the datacenter.\n",
               static_cast<unsigned long long>(baseline.upload_bytes),
               static_cast<unsigned long long>(dedup.upload_bytes),

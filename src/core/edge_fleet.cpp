@@ -14,6 +14,11 @@ namespace {
 // latency percentiles reported by fleet_stats().
 constexpr std::size_t kLatencyWindow = 512;
 
+// Archival encode: constant-QP (no target bitrate), and no fdatasync per
+// append (a crash loses at most the page-cache tail of the open segment).
+constexpr double kArchiveBitrateBps = 0;
+constexpr bool kArchiveFsync = false;
+
 }  // namespace
 
 void ResultCollector::Bind(McSpec& spec) {
@@ -145,22 +150,24 @@ StreamHandle EdgeFleet::FinishAddStream(std::unique_ptr<Stream> s) {
     sc.capacity_frames = cfg_.edge_store_capacity;
     sc.budget_bytes = cfg_.archive_budget_bytes;
     sc.gop = cfg_.archive_gop;
-    sc.bitrate_bps = cfg_.archive_bitrate_bps;
+    sc.bitrate_bps = kArchiveBitrateBps;
     sc.fps = s->fps;
     sc.segment_frames = cfg_.archive_segment_frames;
-    sc.fsync_each_append = cfg_.archive_fsync;
+    sc.fsync_each_append = kArchiveFsync;
     if (!cfg_.archive_dir.empty()) {
       sc.dir = cfg_.archive_dir + "/stream-" + std::to_string(next_stream_);
     }
     s->store = std::make_shared<EdgeStore>(sc);
   }
   s->handle = next_stream_++;
-  if (xcam_ != nullptr && xcam_->topology.Contains(s->handle)) {
+  const bool member = xcam_ != nullptr && xcam_->topology.Contains(s->handle);
+  if (member) {
     s->in_topology = true;
     s->bg = std::make_unique<xcam::BackgroundModel>();
   }
   s->latency = util::WindowedStat(kLatencyWindow);
   streams_.push_back(std::move(s));
+  if (member) ElectLeads();
   // A pipelined fleet has a new stream to service.
   driver_cv_.notify_all();
   return streams_.back()->handle;
@@ -264,7 +271,9 @@ void EdgeFleet::RemoveStream(StreamHandle stream) {
   }
   // Frames of this stream in a gather under way stop resolving and are
   // discarded at processing.
+  const bool member = streams_[idx]->in_topology;
   streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(idx));
+  if (member) ElectLeads();
 }
 
 McHandle EdgeFleet::Attach(StreamHandle stream, McSpec spec) {
@@ -377,6 +386,7 @@ void EdgeFleet::SetTopology(xcam::Topology topology,
       s->bg = std::make_unique<xcam::BackgroundModel>();
     }
   }
+  ElectLeads();
 }
 
 void EdgeFleet::SetCrossEventSink(CrossEventSink sink) {
@@ -627,11 +637,15 @@ void EdgeFleet::FinalizeReadyFrames(Stream& s) {
     PendingFrame& pf = s.pending.front();
     const std::int64_t index = s.pending_base;
     if (pf.any_positive) {
-      if (s.in_topology && xcam_ != nullptr) {
-        // Topology member: the frame's upload-or-tombstone verdict arrives
-        // once the correlator finalizes every event it belongs to. Streams
-        // outside the topology take the immediate branch below — their
-        // upload byte stream is untouched by the plane.
+      if (s.in_topology && xcam_ != nullptr &&
+          !(s.xcam_lead && s.deferred.empty())) {
+        // Non-lead topology member: the frame's upload-or-tombstone verdict
+        // arrives once the correlator finalizes every event it belongs to.
+        // A lead is canonical in every group it joins, so it ships as it
+        // decides once any backlog from before its promotion has drained
+        // (uploads stay in frame order). Streams outside the topology take
+        // the same immediate branch — their upload byte stream is
+        // untouched by the plane.
         Stream::DeferredUpload d;
         d.frame = std::move(pf.frame);
         d.index = index;
@@ -639,6 +653,7 @@ void EdgeFleet::FinalizeReadyFrames(Stream& s) {
         s.deferred.push_back(std::move(d));
       } else {
         ShipUpload(s, index, pf.frame, std::move(pf.memberships));
+        PruneVerdicts(s, index);
       }
     }
     s.pending.pop_front();
@@ -683,17 +698,21 @@ void EdgeFleet::FlushDeferredUploads(Stream& s) {
         upload_sink_(packet);
       }
     }
-    // Verdicts for events that ended at or before this frame can never be
-    // referenced by a later deferred frame; drop them so the map stays
-    // bounded by the open-event set.
-    for (auto it = s.xverdicts.begin(); it != s.xverdicts.end();) {
-      if (it->second.second <= d.index + 1) {
-        it = s.xverdicts.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    PruneVerdicts(s, d.index);
     s.deferred.pop_front();
+  }
+}
+
+void EdgeFleet::PruneVerdicts(Stream& s, std::int64_t index) {
+  // Verdicts for events that ended at or before frame `index` can never be
+  // referenced by a later frame; drop them so the map stays bounded by the
+  // open-event set.
+  for (auto it = s.xverdicts.begin(); it != s.xverdicts.end();) {
+    if (it->second.second <= index + 1) {
+      it = s.xverdicts.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -724,13 +743,30 @@ void EdgeFleet::OnCrossEvent(const xcam::CrossEventRecord& rec) {
   if (cfg_.enable_upload) {
     for (std::size_t i = 0; i < rec.members.size(); ++i) {
       const xcam::CrossMember& m = rec.members[i];
-      if (Stream* s = FindStream(m.stream)) {
+      Stream* s = FindStream(m.stream);
+      // Keep a verdict only while a frame of the event may still defer:
+      // one is queued, or the event has frames not yet finalized (a lead
+      // demoted before they finalize defers them). A lead that shipped the
+      // whole event directly needs none, and nothing would prune it.
+      if (s != nullptr && (!s->deferred.empty() || m.end > s->pending_base)) {
         s->xverdicts[{m.mc, m.event_id}] = {
             static_cast<std::int64_t>(i) != rec.canonical, m.end};
       }
     }
   }
   if (cross_event_sink_) cross_event_sink_(rec);
+}
+
+void EdgeFleet::ElectLeads() {
+  std::map<StreamHandle, std::int64_t> live;  // member handle -> priority
+  for (const auto& s : streams_) {
+    if (s->in_topology) live.emplace(s->handle, s->priority);
+  }
+  const std::vector<StreamHandle> leads =
+      xcam::ComponentLeads(xcam_->topology, live);
+  for (const auto& s : streams_) {
+    s->xcam_lead = std::binary_search(leads.begin(), leads.end(), s->handle);
+  }
 }
 
 void EdgeFleet::XcamPump() {

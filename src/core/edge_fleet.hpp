@@ -227,11 +227,8 @@ struct EdgeFleetConfig {
   // Archival-encode keyframe cadence; 1 = every frame an I-frame (the
   // pre-durability retention semantics), larger gops compress better.
   std::int64_t archive_gop = 1;
-  // Archival encode target bitrate; 0 = constant-QP.
-  double archive_bitrate_bps = 0;
-  // Records per pack segment file, and whether to fdatasync every append.
+  // Records per pack segment file.
   std::int64_t archive_segment_frames = 64;
-  bool archive_fsync = false;
   // Phase 2 across the thread pool, one task per (stream, tenant), once
   // there are enough tasks to occupy it. Disable for serial attach-order
   // execution (per-MC CPU attribution, Fig. 6).
@@ -456,6 +453,16 @@ class EdgeFleet {
   // stay bitwise-identical to a fleet with no topology, and with no
   // topology set the whole plane is compiled out of the hot path.
   //
+  // Each connected component of the topology, over its live member
+  // streams, has one *lead*: the highest StreamConfig::priority, ties to
+  // the lowest handle. Every group holding a lead event elects the lead
+  // canonical, so the lead uploads as it decides, exactly its no-topology
+  // bytes; only the other members hold their clip packets until the
+  // correlator's verdict. Churn re-elects: a promoted lead first drains
+  // its deferred backlog in order, a demoted one defers from its next
+  // finalized frame. A verdict that disagrees with frames an ex-lead
+  // already shipped costs a missed dedupe (two full copies), never a clip.
+  //
   // Call once, before any member stream has processed a frame. Member
   // streams may be added before or after (flagged by handle as they
   // appear). Topology must be non-empty.
@@ -590,6 +597,9 @@ class EdgeFleet {
     std::shared_ptr<EdgeStore> store;
     // --- xcam state (only populated for topology member streams) ---------
     bool in_topology = false;
+    // The canonical stream of its topology component (ElectLeads): ships
+    // uploads directly once `deferred` is empty.
+    bool xcam_lead = false;
     // Per-stream background model over the pooled tap (subtracts the
     // static scene so signatures describe the moving object).
     std::unique_ptr<xcam::BackgroundModel> bg;
@@ -606,8 +616,8 @@ class EdgeFleet {
     std::deque<SigEntry> sig_ring;
     std::int64_t sig_ring_base = 0;
     // Finalized positive frames awaiting a cross-camera verdict before
-    // encoding (topology members only; non-members keep the immediate
-    // upload path untouched).
+    // encoding (non-lead topology members, and a promoted lead's backlog;
+    // non-members keep the immediate upload path untouched).
     struct DeferredUpload {
       video::Frame frame;
       std::int64_t index = -1;
@@ -615,7 +625,8 @@ class EdgeFleet {
     };
     std::deque<DeferredUpload> deferred;
     // (mc, event id) -> (suppress, event end frame): verdicts delivered by
-    // the correlator, pruned as deferred frames drain past them.
+    // the correlator while a frame of the event may still defer, pruned as
+    // frames finalize past them.
     std::map<std::pair<std::string, std::int64_t>,
              std::pair<bool, std::int64_t>>
         xverdicts;
@@ -764,6 +775,11 @@ class EdgeFleet {
   void PruneSigRing(Stream& s);
   // Correlator sink: records per-member suppress/upload verdicts.
   void OnCrossEvent(const xcam::CrossEventRecord& rec);
+  // Recomputes Stream::xcam_lead (xcam::ComponentLeads over the live member
+  // streams); called whenever that set changes.
+  void ElectLeads();
+  // Drops verdicts no frame after `index` can reference.
+  static void PruneVerdicts(Stream& s, std::int64_t index);
   // Advances the correlator watermark from the streams' tenant progress and
   // flushes deferred uploads whose verdicts have arrived. No-op without a
   // topology.

@@ -1,12 +1,45 @@
 #include "xcam/correlator.hpp"
 
 #include <algorithm>
+#include <set>
 #include <tuple>
 
 #include "util/check.hpp"
 #include "xcam/signature.hpp"
 
 namespace ff::xcam {
+
+std::vector<std::int64_t> ComponentLeads(
+    const Topology& topology,
+    const std::map<std::int64_t, std::int64_t>& live) {
+  // A group's members overlap along declared edges between live streams, so
+  // they share one component. Flood-fill each component from its lowest
+  // unplaced handle.
+  std::vector<std::int64_t> leads;
+  std::set<std::int64_t> placed;
+  for (const auto& [seed, seed_priority] : live) {
+    if (!placed.insert(seed).second) continue;
+    std::int64_t lead = seed, lead_priority = seed_priority;
+    std::vector<std::int64_t> frontier{seed};
+    while (!frontier.empty()) {
+      const std::int64_t a = frontier.back();
+      frontier.pop_back();
+      for (const auto& [b, priority] : live) {
+        if (placed.count(b) != 0 || !topology.Overlaps(a, b)) continue;
+        placed.insert(b);
+        frontier.push_back(b);
+        if (priority > lead_priority ||
+            (priority == lead_priority && b < lead)) {
+          lead = b;
+          lead_priority = priority;
+        }
+      }
+    }
+    leads.push_back(lead);
+  }
+  std::sort(leads.begin(), leads.end());
+  return leads;
+}
 
 Correlator::Correlator(Topology topology, CorrelatorConfig cfg)
     : topo_(std::move(topology)), cfg_(cfg) {
@@ -158,19 +191,14 @@ void Correlator::EmitGroups(const std::vector<std::int64_t>& roots) {
       rec.end_ts_ns = std::max(rec.end_ts_ns, m.end_ts_ns);
     }
     // Canonical election: priority tier first (paper-side arbitration the
-    // overload controller already uses), then strongest MC response, then
-    // the lowest (stream, mc, event) key for a total order.
+    // overload controller already uses), then the lowest (stream, mc,
+    // event) key. Both are known before any event closes, so a fleet can
+    // name each component's canonical stream up front (ComponentLeads) and
+    // let it upload undeferred. Members are sorted by key, so the first
+    // member of the top tier wins.
     std::size_t best = 0;
     for (std::size_t i = 1; i < rec.members.size(); ++i) {
-      const CrossMember& a = rec.members[i];
-      const CrossMember& b = rec.members[best];
-      if (a.priority != b.priority) {
-        if (a.priority > b.priority) best = i;
-      } else if (a.peak_score != b.peak_score) {
-        if (a.peak_score > b.peak_score) best = i;
-      }
-      // Members are already sorted by (stream, mc, event_id): on a full tie
-      // the earlier member wins.
+      if (rec.members[i].priority > rec.members[best].priority) best = i;
     }
     rec.canonical = static_cast<std::int64_t>(best);
     built.push_back(Built{std::move(rec), std::move(keys)});

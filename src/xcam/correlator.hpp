@@ -1,7 +1,8 @@
 // Cross-camera event correlation: fuses per-stream events describing the
 // same physical object into one CrossEventRecord with an elected canonical
-// view (ROADMAP "Cross-camera scenarios"; "Collaborative Intelligent
-// Cross-Camera Video Analytics at Edge", PAPERS.md).
+// view (docs/ARCHITECTURE.md, "The cross-camera correlation plane";
+// "Collaborative Intelligent Cross-Camera Video Analytics at Edge",
+// PAPERS.md).
 //
 // The correlator is a pure function of its inputs: closed per-stream events
 // (capture-time bounds + appearance signature + election metadata) and a
@@ -37,8 +38,10 @@ namespace ff::xcam {
 struct ObservedEvent {
   core::EventRecord event;       // stream/mc/id/frame + capture-ts bounds
   std::vector<float> signature;  // L2-normalized; empty = never matches
-  float peak_score = 0.0f;       // max MC score over the event's frames
-  std::int64_t priority = 0;     // StreamConfig::priority of the stream
+  // Max MC score over the event's frames; reported on the member, never
+  // used for election (it is only known once the event closes).
+  float peak_score = 0.0f;
+  std::int64_t priority = 0;  // StreamConfig::priority of the stream
 };
 
 // One member view of a fused cross-camera event.
@@ -50,13 +53,15 @@ struct CrossMember {
   std::int64_t end = 0;
   std::int64_t begin_ts_ns = -1;  // capture ts of first/last member frame
   std::int64_t end_ts_ns = -1;
-  float peak_score = 0.0f;
+  float peak_score = 0.0f;  // informational (ObservedEvent::peak_score)
   std::int64_t priority = 0;
 };
 
 // One physical event across the fleet: a global object id, every member
 // (stream, mc, event) view, and the elected canonical view whose clip is
-// uploaded in full (all other members ship metadata-only tombstones).
+// uploaded in full (all other members ship metadata-only tombstones). The
+// canonical view is the highest-priority member, ties to the lowest
+// (stream, mc, event) key.
 struct CrossEventRecord {
   std::int64_t global_id = -1;
   std::int64_t canonical = -1;  // index into members
@@ -78,6 +83,16 @@ struct CorrelatorConfig {
   // overlap demands stronger signature agreement.
   float min_similarity = 0.6f;
 };
+
+// The stream of each connected component of `topology`, taken over the
+// `live` streams (handle -> StreamConfig::priority), that the Correlator
+// elects canonical in every group holding one of its events: the highest
+// priority, ties to the lowest handle. Known before any event closes, so a
+// fleet can let these *lead* streams upload without waiting for verdicts.
+// Returns the leads in handle order.
+std::vector<std::int64_t> ComponentLeads(
+    const Topology& topology,
+    const std::map<std::int64_t, std::int64_t>& live);
 
 class Correlator {
  public:

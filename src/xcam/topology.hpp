@@ -1,4 +1,5 @@
-// Cross-camera overlap topology (ROADMAP "Cross-camera scenarios").
+// Cross-camera overlap topology (docs/ARCHITECTURE.md, "The cross-camera
+// correlation plane").
 //
 // A deployment declares which cameras physically see the same scene; the
 // correlator only ever tries to fuse events across declared pairs. Edges are

@@ -17,7 +17,12 @@
 //  (d) CONTROLS — declared-overlapping cameras whose capture timelines
 //      never intersect fuse nothing and lose nothing (the deferred-upload
 //      path is lossless), and StreamConfig::priority wins canonical
-//      election over handle order.
+//      election over handle order;
+//  (e) LEAD — each topology component's lead stream ships an event's clip
+//      before the correlator's verdict on it, and re-election under churn
+//      (the lead removed, a higher-priority stream added, both mid-event)
+//      keeps every event shipped in full by some stream, with every
+//      stream's uploads in frame order, under both schedules.
 //
 // Ground truth comes from video::OverlapScript: an OracleMc subclass
 // returns the script's exact activity bit per frame, and vote_window =
@@ -29,6 +34,7 @@
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,11 +58,14 @@ constexpr std::int64_t kMs = 1'000'000;
 // schedule, so the internal counter is exact and deterministic.
 class OracleMc : public Microclassifier {
  public:
+  // `first_frame`: the script frame of the stream's first frame.
   OracleMc(const dnn::FeatureExtractor& fx,
-           std::shared_ptr<const video::OverlapScript> script)
+           std::shared_ptr<const video::OverlapScript> script,
+           std::int64_t first_frame = 0)
       : Microclassifier({.name = "oracle", .tap = kTap}, fx,
                         script->spec().height, script->spec().width),
-        script_(std::move(script)) {}
+        script_(std::move(script)),
+        frame_(first_frame) {}
   nn::Sequential& net() override { return net_; }
 
  protected:
@@ -108,6 +117,10 @@ struct WallSpec {
 struct WallRun {
   std::vector<McResult> results;  // per camera, oracle tenant
   std::vector<std::vector<UploadPacket>> packets;
+  // Per packet: how many CrossEventRecords the sinks had delivered before
+  // it (packet p of camera c reached the sink before record g iff
+  // xevents_before[c][p] <= g).
+  std::vector<std::vector<std::size_t>> xevents_before;
   std::vector<std::uint64_t> bytes;       // upload_bytes per camera
   std::vector<std::int64_t> suppressed;   // frames_suppressed per camera
   std::vector<xcam::CrossEventRecord> xevents;
@@ -146,6 +159,7 @@ WallRun RunWall(const WallSpec& spec) {
 
   WallRun run;
   run.packets.resize(n);
+  run.xevents_before.resize(n);
   if (spec.with_topology) {
     xcam::Topology topo;
     if (spec.edges.empty()) {
@@ -167,7 +181,10 @@ WallRun RunWall(const WallSpec& spec) {
   }
   fleet.SetUploadSink([&](const UploadPacket& p) {
     for (std::size_t c = 0; c < n; ++c) {
-      if (handles[c] == p.stream) run.packets[c].push_back(p);
+      if (handles[c] == p.stream) {
+        run.packets[c].push_back(p);
+        run.xevents_before[c].push_back(run.xevents.size());
+      }
     }
   });
 
@@ -305,8 +322,8 @@ TEST(EdgeFleetXcam, CameraWallSuppressesDuplicateClips) {
       const auto& rec = dedup.xevents[g];
       EXPECT_EQ(rec.global_id, static_cast<std::int64_t>(g));
       ASSERT_EQ(rec.members.size(), cams);
-      // Equal priorities and an oracle peak of 1.0 everywhere: the tiebreak
-      // elects the earliest member key, i.e. the lowest stream handle.
+      // Equal priorities: the tiebreak elects the earliest member key, i.e.
+      // the lowest stream handle, the wall's lead.
       EXPECT_EQ(rec.canonical_member().stream, 0);
       const auto& obj = script->objects()[g];
       EXPECT_EQ(rec.canonical_member().begin, obj.begin);
@@ -445,6 +462,351 @@ TEST(EdgeFleetXcam, PriorityWinsCanonicalElection) {
   EXPECT_EQ(dedup.suppressed[1], 0);
   EXPECT_EQ(dedup.bytes[0], 0u);
   EXPECT_GT(dedup.bytes[1], 0u);
+}
+
+// Of one camera's `packets` for frames [begin, end) (`xevents_before` as
+// in WallRun): how many reached the sink before cross-event record `g`, and
+// how many after it.
+struct RecordSplit {
+  std::int64_t before = 0;
+  std::int64_t after = 0;
+};
+RecordSplit SplitAtRecord(const std::vector<UploadPacket>& packets,
+                          const std::vector<std::size_t>& xevents_before,
+                          std::int64_t begin, std::int64_t end,
+                          std::size_t g) {
+  RecordSplit split;
+  for (std::size_t p = 0; p < packets.size(); ++p) {
+    const std::int64_t f = packets[p].frame_index;
+    if (f < begin || f >= end) continue;
+    ++(xevents_before[p] <= g ? split.before : split.after);
+  }
+  return split;
+}
+
+// Index of the record holding the event of `stream` that begins at frame
+// `begin` (stream-local).
+std::size_t RecordOf(const std::vector<xcam::CrossEventRecord>& xevents,
+                     std::int64_t stream, std::int64_t begin) {
+  for (std::size_t g = 0; g < xevents.size(); ++g) {
+    for (const auto& m : xevents[g].members) {
+      if (m.stream == stream && m.begin == begin) return g;
+    }
+  }
+  ADD_FAILURE() << "no record for stream " << stream << " frame " << begin;
+  return xevents.size();
+}
+
+TEST(EdgeFleetXcam, EachComponentsLeadShipsBeforeItsVerdict) {
+  // Cameras 0+1 and 2+3 of one shared scene form two topology components.
+  // Component {0, 1} is an equal-priority pair, so its lead is the lower
+  // handle, 0; camera 3's priority makes it the lead of {2, 3}.
+  WallSpec spec = SharedWall(4, true, false);
+  spec.edges = {{0, 1}, {2, 3}};
+  spec.priorities = {0, 0, 0, 3};
+  const WallRun run = RunWall(spec);
+  const WallRun& base = SharedWallBaseline();
+
+  const auto script = SharedScript();
+  const std::int64_t n_events = script->spec().n_events;
+  const std::int64_t frames = script->spec().event_frames;
+  EXPECT_EQ(run.stats.fused_groups, 2 * n_events);
+  ASSERT_EQ(run.xevents.size(), static_cast<std::size_t>(2 * n_events));
+  for (std::size_t g = 0; g < run.xevents.size(); ++g) {
+    SCOPED_TRACE("record " + std::to_string(g));
+    const auto& rec = run.xevents[g];
+    ASSERT_EQ(rec.members.size(), 2u);
+    // Members are sorted by stream: {0, 1} or {2, 3}.
+    const bool first = rec.members[0].stream == 0;
+    const std::size_t lead_idx = first ? 0 : 1;
+    const std::int64_t lead = first ? 0 : 3;
+    EXPECT_EQ(rec.canonical, static_cast<std::int64_t>(lead_idx));
+    EXPECT_EQ(rec.canonical_member().stream, lead);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const auto& m = rec.members[i];
+      const auto c = static_cast<std::size_t>(m.stream);
+      const RecordSplit split = SplitAtRecord(
+          run.packets[c], run.xevents_before[c], m.begin, m.end, g);
+      if (i == lead_idx) {
+        // The lead's clip reached the sink before the verdict on it...
+        EXPECT_EQ(split.before, frames) << "lead " << c;
+        EXPECT_EQ(split.after, 0) << "lead " << c;
+      } else {
+        // ...while the other member held its packets for the verdict.
+        EXPECT_EQ(split.before, 0) << "member " << c;
+        EXPECT_EQ(split.after, frames) << "member " << c;
+      }
+    }
+  }
+  // Each lead ships its exact no-topology bytes; the others tombstones.
+  for (const std::size_t c : {0u, 3u}) {
+    ExpectSameClipBytes(base.packets[c], run.packets[c]);
+    EXPECT_EQ(run.suppressed[c], 0) << "cam " << c;
+  }
+  for (const std::size_t c : {1u, 2u}) {
+    EXPECT_EQ(run.suppressed[c], n_events * frames) << "cam " << c;
+    EXPECT_EQ(run.bytes[c], 0u) << "cam " << c;
+  }
+
+  // The pipelined schedule ships the same bytes and emits the same records.
+  spec.pipelined = true;
+  const WallRun pipe_run = RunWall(spec);
+  for (std::size_t c = 0; c < 4; ++c) {
+    ExpectSameResult(run.results[c], pipe_run.results[c]);
+    EXPECT_EQ(run.bytes[c], pipe_run.bytes[c]) << "cam " << c;
+    EXPECT_EQ(run.suppressed[c], pipe_run.suppressed[c]) << "cam " << c;
+    ExpectSameClipBytes(run.packets[c], pipe_run.packets[c]);
+  }
+  ExpectSameCrossEvents(run.xevents, pipe_run.xevents);
+}
+
+// --- Churn: lead re-election mid-event -------------------------------------
+
+// A push-driven, full-mesh wall over the shared script whose membership
+// changes mid-run. Camera c joins when the wall reaches script frame
+// join[c]; its first frame is script frame start[c] <= join[c] (a late
+// camera pushes that backlog at once, so it can still see a whole event)
+// and it leaves at script frame leave[c] (-1: never). Handles follow camera
+// order, so join must be non-decreasing. Every pushed frame is processed
+// before the next churn point, so the Step() and pipelined schedules see
+// the same churn boundaries.
+struct ChurnSpec {
+  std::vector<std::int64_t> priorities;
+  std::vector<std::int64_t> start;
+  std::vector<std::int64_t> join;
+  std::vector<std::int64_t> leave;
+  bool pipelined = false;
+};
+
+struct ChurnRun {
+  std::vector<McResult> results;
+  std::vector<std::vector<UploadPacket>> packets;
+  std::vector<std::vector<std::size_t>> xevents_before;  // as in WallRun
+  std::vector<xcam::CrossEventRecord> xevents;
+};
+
+ChurnRun RunChurn(const ChurnSpec& spec) {
+  const auto script = SharedScript();
+  const std::size_t n = spec.start.size();
+  dnn::FeatureExtractor fx({.include_classifier = false});
+  util::FakeClock clock;
+  EdgeFleetConfig cfg;
+  cfg.upload_bitrate_bps = 60'000;
+  cfg.vote_window = 1;
+  cfg.vote_k = 1;
+  cfg.queue_capacity = 0;  // unbounded: each phase is pushed at once
+  cfg.clock = &clock;
+  EdgeFleet fleet(fx, cfg);
+
+  xcam::Topology topo;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      topo.AddOverlap(static_cast<StreamHandle>(a),
+                      static_cast<StreamHandle>(b));
+    }
+  }
+  fleet.SetTopology(std::move(topo), XcamConfig(), kTap);
+
+  ChurnRun run;
+  run.results.resize(n);
+  run.packets.resize(n);
+  run.xevents_before.resize(n);
+  fleet.SetCrossEventSink([&run](const xcam::CrossEventRecord& rec) {
+    run.xevents.push_back(rec);
+  });
+  fleet.SetUploadSink([&run](const UploadPacket& p) {
+    const auto c = static_cast<std::size_t>(p.stream);
+    run.packets[c].push_back(p);
+    run.xevents_before[c].push_back(run.xevents.size());
+  });
+
+  std::vector<std::unique_ptr<video::OverlapSource>> sources(n);
+  std::vector<std::unique_ptr<ResultCollector>> collectors(n);
+  std::vector<std::int64_t> next(n, 0);  // next script frame to push
+  std::vector<bool> live(n, false);
+  std::set<std::int64_t> points{0, script->n_frames()};
+  for (std::size_t c = 0; c < n; ++c) {
+    points.insert(spec.join[c]);
+    if (spec.leave[c] >= 0) points.insert(spec.leave[c]);
+  }
+  if (spec.pipelined) fleet.StartPipeline();
+  for (auto it = points.begin(); std::next(it) != points.end(); ++it) {
+    const std::int64_t now = *it;
+    const std::int64_t until = *std::next(it);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (live[c] && spec.leave[c] == now) {
+        fleet.RemoveStream(static_cast<StreamHandle>(c));
+        run.results[c] = collectors[c]->result();
+        live[c] = false;
+      }
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      if (spec.join[c] != now) continue;
+      sources[c] = std::make_unique<video::OverlapSource>(
+          script, CamView(static_cast<int>(c)));
+      for (next[c] = 0; next[c] < spec.start[c]; ++next[c]) sources[c]->Next();
+      StreamConfig scfg;
+      scfg.frame_width = script->spec().width;
+      scfg.frame_height = script->spec().height;
+      scfg.fps = script->spec().fps;
+      scfg.priority = spec.priorities[c];
+      EXPECT_EQ(fleet.AddStream(scfg), static_cast<StreamHandle>(c));
+      McSpec mc_spec{.mc = std::make_unique<OracleMc>(fx, script,
+                                                      spec.start[c])};
+      collectors[c] = std::make_unique<ResultCollector>();
+      collectors[c]->Bind(mc_spec);
+      fleet.Attach(static_cast<StreamHandle>(c), std::move(mc_spec));
+      live[c] = true;
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      for (; live[c] && next[c] < until; ++next[c]) {
+        fleet.Push(static_cast<StreamHandle>(c), *sources[c]->Next());
+      }
+    }
+    if (spec.pipelined) {
+      fleet.WaitPipelineIdle();
+    } else {
+      while (fleet.Step() > 0) {
+      }
+    }
+  }
+  if (spec.pipelined) fleet.StopPipeline();
+  fleet.Drain();
+  for (std::size_t c = 0; c < n; ++c) {
+    if (live[c]) run.results[c] = collectors[c]->result();
+  }
+  return run;
+}
+
+// Every scripted object reaches the uplink in full from at least one
+// camera, and each camera's packets (clips and tombstones) are in frame
+// order.
+void ExpectChurnKeepsEveryClip(const ChurnRun& run, const ChurnSpec& spec) {
+  const auto script = SharedScript();
+  std::vector<std::set<std::int64_t>> shipped(run.packets.size());
+  for (std::size_t c = 0; c < run.packets.size(); ++c) {
+    for (std::size_t p = 0; p < run.packets[c].size(); ++p) {
+      const UploadPacket& pkt = run.packets[c][p];
+      if (p > 0) {
+        EXPECT_LT(run.packets[c][p - 1].frame_index, pkt.frame_index)
+            << "cam " << c;
+      }
+      if (!pkt.tombstone) shipped[c].insert(pkt.frame_index + spec.start[c]);
+    }
+  }
+  for (const auto& obj : script->objects()) {
+    bool full = false;
+    for (const auto& frames : shipped) {
+      bool all = true;
+      for (std::int64_t f = obj.begin; f < obj.end; ++f) {
+        all = all && frames.count(f) != 0;
+      }
+      full = full || all;
+    }
+    EXPECT_TRUE(full) << "no camera shipped the object at frame "
+                      << obj.begin << " in full";
+  }
+}
+
+void ExpectSameChurn(const ChurnRun& a, const ChurnRun& b) {
+  ASSERT_EQ(a.packets.size(), b.packets.size());
+  for (std::size_t c = 0; c < a.packets.size(); ++c) {
+    SCOPED_TRACE("cam " + std::to_string(c));
+    ExpectSameResult(a.results[c], b.results[c]);
+    ASSERT_EQ(a.packets[c].size(), b.packets[c].size());
+    for (std::size_t p = 0; p < a.packets[c].size(); ++p) {
+      EXPECT_EQ(a.packets[c][p].frame_index, b.packets[c][p].frame_index);
+      EXPECT_EQ(a.packets[c][p].tombstone, b.packets[c][p].tombstone);
+      EXPECT_EQ(a.packets[c][p].chunk, b.packets[c][p].chunk);
+    }
+  }
+  ExpectSameCrossEvents(a.xevents, b.xevents);
+}
+
+TEST(EdgeFleetXcam, LeadRemovedMidEventPromotesTheNextWithoutLosingAClip) {
+  // Equal priorities: camera 0 leads until it is removed five frames into
+  // object 1; camera 1 is promoted.
+  const auto script = SharedScript();
+  const auto& objs = script->objects();
+  const std::int64_t cut = objs[1].begin + 5;
+  ChurnSpec spec;
+  spec.priorities = {0, 0, 0};
+  spec.start = {0, 0, 0};
+  spec.join = {0, 0, 0};
+  spec.leave = {cut, -1, -1};
+  const ChurnRun run = RunChurn(spec);
+  ExpectChurnKeepsEveryClip(run, spec);
+
+  const std::int64_t frames = script->spec().event_frames;
+  for (std::size_t k = 0; k < objs.size(); ++k) {
+    SCOPED_TRACE("object " + std::to_string(k));
+    const std::size_t g = RecordOf(run.xevents, 1, objs[k].begin);
+    ASSERT_LT(g, run.xevents.size());
+    const RecordSplit c1 = SplitAtRecord(run.packets[1], run.xevents_before[1],
+                                         objs[k].begin, objs[k].end, g);
+    if (k == 0) {
+      // Before the cut camera 0 led: camera 1 deferred, then tombstoned.
+      EXPECT_EQ(run.xevents[g].canonical_member().stream, 0);
+      EXPECT_EQ(c1.after, frames);
+    } else if (k == 1) {
+      // The promoted lead drains its deferred backlog in order: the frames
+      // it held from before the cut, and the rest of the open event behind
+      // them, ship (in full) once the verdict arrives.
+      EXPECT_EQ(run.xevents[g].canonical_member().stream, 1);
+      EXPECT_EQ(c1.before, 0);
+      EXPECT_EQ(c1.after, frames);
+    } else {
+      // Then it ships undeferred.
+      EXPECT_EQ(run.xevents[g].canonical_member().stream, 1);
+      EXPECT_EQ(c1.before, frames);
+      EXPECT_EQ(c1.after, 0);
+    }
+  }
+  // Camera 2 never leads: only tombstones.
+  for (const auto& p : run.packets[2]) EXPECT_TRUE(p.tombstone);
+
+  spec.pipelined = true;
+  ExpectSameChurn(run, RunChurn(spec));
+}
+
+TEST(EdgeFleetXcam, HigherPriorityJoinMidEventDemotesTheLead) {
+  // Camera 2 (priority 5) joins five frames into object 1 carrying a
+  // backlog from the empty scene before it (its background model needs a
+  // clean start to match); camera 0 leads until then.
+  const auto script = SharedScript();
+  const auto& objs = script->objects();
+  const std::int64_t join = objs[1].begin + 5;
+  ChurnSpec spec;
+  spec.priorities = {0, 0, 5};
+  spec.start = {0, 0, objs[0].end};
+  spec.join = {0, 0, join};
+  spec.leave = {-1, -1, -1};
+  const ChurnRun run = RunChurn(spec);
+  ExpectChurnKeepsEveryClip(run, spec);
+
+  const std::int64_t frames = script->spec().event_frames;
+  for (std::size_t k = 1; k < objs.size(); ++k) {
+    SCOPED_TRACE("object " + std::to_string(k));
+    // The new lead is canonical and ships as it decides.
+    const std::int64_t local = objs[k].begin - spec.start[2];
+    const std::size_t g = RecordOf(run.xevents, 2, local);
+    ASSERT_LT(g, run.xevents.size());
+    EXPECT_EQ(run.xevents[g].canonical_member().stream, 2);
+    const RecordSplit c2 = SplitAtRecord(run.packets[2], run.xevents_before[2],
+                                         local, local + frames, g);
+    EXPECT_EQ(c2.before, frames);
+    EXPECT_EQ(c2.after, 0);
+  }
+  // The demoted lead shipped object 0 and object 1's first five frames
+  // directly, then deferred: its later frames are tombstoned. That is a
+  // missed dedupe for object 1 (two copies of its head), never a lost clip.
+  for (const auto& p : run.packets[0]) {
+    const bool head = p.frame_index < join;
+    EXPECT_EQ(p.tombstone, !head) << "frame " << p.frame_index;
+  }
+
+  spec.pipelined = true;
+  ExpectSameChurn(run, RunChurn(spec));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -245,9 +246,10 @@ TEST(XcamCorrelator, EmissionIsObservationOrderInsensitive) {
     ASSERT_EQ(rec.members.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i)
       EXPECT_EQ(rec.members[i].stream, static_cast<std::int64_t>(i));
-    // Equal priority: the strongest MC response (stream 1) is canonical.
-    EXPECT_EQ(rec.canonical, 1);
-    EXPECT_EQ(rec.canonical_member().stream, 1);
+    // Equal priority: the lowest member key (stream 0) is canonical, even
+    // though stream 1 has the strongest MC response.
+    EXPECT_EQ(rec.canonical, 0);
+    EXPECT_EQ(rec.canonical_member().stream, 0);
   }
 }
 
@@ -264,6 +266,33 @@ TEST(XcamCorrelator, CanonicalElectionPriorityBeatsPeakScore) {
                   /*priority=*/5));
   corr.Finish();
   ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].canonical_member().stream, 1);
+}
+
+TEST(XcamCorrelator, ComponentLeadsAreWhatTheElectionPicks) {
+  // Components {0, 1, 2} (a chain) and {3, 4}; stream 5 is declared but not
+  // live, and it is the only bridge from {3, 4} to stream 6.
+  Topology topo;
+  topo.AddOverlap(0, 1).AddOverlap(1, 2).AddOverlap(3, 4).AddOverlap(4, 5)
+      .AddOverlap(5, 6);
+  // handle -> priority: 1 and 2 tie on the top tier; 4 outranks 3; 6 is on
+  // its own once 5 is gone.
+  const std::map<std::int64_t, std::int64_t> live{
+      {0, 0}, {1, 2}, {2, 2}, {3, 0}, {4, 1}, {6, 0}};
+  EXPECT_EQ(ComponentLeads(topo, live),
+            (std::vector<std::int64_t>{1, 4, 6}));
+
+  // A group holding the lead's event elects the lead, whatever the peak
+  // scores and whichever member links the chain.
+  Correlator corr(topo, {.window_ns = 10 * kMs, .min_similarity = 0.6f});
+  std::vector<CrossEventRecord> out;
+  corr.set_sink([&](const CrossEventRecord& rec) { out.push_back(rec); });
+  corr.Observe(Ev(0, 0, 100, 200, {1.0f, 0.0f}, /*peak=*/0.99f, 0));
+  corr.Observe(Ev(2, 0, 100, 200, {1.0f, 0.0f}, /*peak=*/0.5f, 2));
+  corr.Observe(Ev(1, 0, 100, 200, {1.0f, 0.0f}, /*peak=*/0.6f, 2));
+  corr.Finish();
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].members.size(), 3u);
   EXPECT_EQ(out[0].canonical_member().stream, 1);
 }
 

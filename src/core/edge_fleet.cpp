@@ -6,6 +6,7 @@
 
 #include "dnn/feature_extractor.hpp"
 #include "tensor/tensor_view.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ff::core {
 namespace {
@@ -93,7 +94,7 @@ EdgeFleet::EdgeFleet(dnn::FeatureExtractor& fx, const EdgeFleetConfig& cfg)
 }
 
 EdgeFleet::~EdgeFleet() {
-  // A fleet destroyed with the pipeline still running joins its threads
+  // A fleet destroyed with the pipeline still running joins its driver
   // first (no thread may outlive the object). Deferred pipeline errors
   // cannot propagate out of a destructor; they are dropped.
   if (pipeline_active_) {
@@ -887,8 +888,7 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
   return true;
 }
 
-std::int64_t EdgeFleet::ProcessStaged(
-    StagedBatch& batch, std::vector<ArchiveItem>* deferred_archive) {
+std::int64_t EdgeFleet::ProcessStaged(StagedBatch& batch) {
   struct Item {
     Stream* stream = nullptr;
     std::int64_t image = -1;      // entry index = staging / feature-map image
@@ -915,21 +915,6 @@ std::int64_t EdgeFleet::ProcessStaged(
   for (Item& it : items) {
     Stream& s = *it.stream;
     StagedEntry& e = batch.entries[static_cast<std::size_t>(it.image)];
-    if (s.store != nullptr) {
-      // The first kept frame after a shed gap restarts archival prediction
-      // (the gap's frames were never encoded); AdmitFrame stamped the flag
-      // onto that frame, so it lands on exactly one append in FIFO order.
-      const bool force = e.frame.force_keyframe;
-      const std::int64_t ts = e.frame.capture_ts_ns;
-      if (deferred_archive != nullptr) {
-        // Copy now — the frame may be moved into the pending buffer below —
-        // and append on the archive-writer thread, outside mu_.
-        deferred_archive->push_back(ArchiveItem{s.store, e.frame, ts, force});
-        ++archive_in_flight_;
-      } else {
-        s.store->Archive(e.frame, ts, force);
-      }
-    }
     if (cfg_.enable_upload) {
       if (s.tenants.empty()) {
         // No tenant live on this stream: the frame can never match.
@@ -939,8 +924,13 @@ std::int64_t EdgeFleet::ProcessStaged(
       } else {
         PendingFrame pf;
         // The frame moves into the pending buffer (its pixels already live
-        // in the staging tensor).
-        pf.frame = std::move(e.frame);
+        // in the staging tensor) — or is copied when the archive tail below
+        // still needs it.
+        if (s.store != nullptr) {
+          pf.frame = e.frame;
+        } else {
+          pf.frame = std::move(e.frame);
+        }
         pf.needed = s.tenants.size();
         s.pending.push_back(std::move(pf));
       }
@@ -1102,12 +1092,24 @@ std::int64_t EdgeFleet::ProcessStaged(
 
   ++batches_run_;
   ++batch.bucket->batches;
+
+  // Archive tail, after every sink of the batch has fired, so the encode
+  // and disk append stay off this batch's decision latency. Per-stream
+  // append order is batch order in both schedules. The first kept frame
+  // after a shed gap restarts archival prediction (the gap's frames were
+  // never encoded); AdmitFrame stamped the flag onto that frame, so it
+  // lands on exactly one append in FIFO order.
+  for (const Item& it : items) {
+    if (it.stream->store == nullptr) continue;
+    const video::Frame& f =
+        batch.entries[static_cast<std::size_t>(it.image)].frame;
+    it.stream->store->Archive(f, f.capture_ts_ns, f.force_keyframe);
+  }
   return static_cast<std::int64_t>(items.size());
 }
 
 std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
-                                std::unique_lock<std::mutex>* io_lock,
-                                std::vector<ArchiveItem>* deferred_archive) {
+                                std::unique_lock<std::mutex>* io_lock) {
   // One batch serves one geometry: try each bucket round-robin and process
   // the first that yields a frame.
   const std::size_t nb = buckets_.size();
@@ -1160,7 +1162,7 @@ std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
     b.rr = idx;  // the next gather resumes where this one stopped
     if (batch.entries.empty()) continue;
     bucket_rr_ = (bucket_rr_ + k + 1) % nb;
-    return ProcessStaged(batch, deferred_archive);
+    return ProcessStaged(batch);
   }
   return 0;
 }
@@ -1170,32 +1172,16 @@ std::int64_t EdgeFleet::Step(std::int64_t max_frames) {
   FF_CHECK_MSG(!drained_, "cannot step a drained fleet");
   FF_CHECK_MSG(!pipeline_active_,
                "Step() is the synchronous schedule; StopPipeline() first");
-  return RunTurn(max_frames > 0 ? max_frames : cfg_.max_batch, nullptr,
-                 nullptr);
+  return RunTurn(max_frames > 0 ? max_frames : cfg_.max_batch, nullptr);
 }
 
 // --- Pipelined schedule ------------------------------------------------------
 
 void EdgeFleet::DriverThreadMain() {
   try {
-    std::vector<ArchiveItem> deferred;
     std::unique_lock<std::mutex> lock(mu_);
     while (!pipeline_stop_) {
-      RunTurn(cfg_.max_batch, &lock,
-              archive_queue_ != nullptr ? &deferred : nullptr);
-      if (!deferred.empty()) {
-        // Hand archive appends to the writer thread with mu_ RELEASED: the
-        // push may block on a full queue, and the writer never needs mu_ to
-        // make space, so this cannot deadlock.
-        lock.unlock();
-        std::int64_t dropped = 0;  // the queue closes only on an error
-        for (ArchiveItem& item : deferred) {
-          if (!archive_queue_->Push(std::move(item))) ++dropped;
-        }
-        deferred.clear();
-        lock.lock();
-        archive_in_flight_ -= dropped;
-      }
+      RunTurn(cfg_.max_batch, &lock);
       // Park only while no stream has a frame ready, checked under the lock:
       // work that arrived while the turn had the lock dropped is seen here,
       // and later work notifies the wait. The turn's return value is no
@@ -1209,44 +1195,12 @@ void EdgeFleet::DriverThreadMain() {
       driver_idle_ = false;
     }
   } catch (...) {
-    RecordPipelineError();
-  }
-}
-
-void EdgeFleet::ArchiveThreadMain() {
-  // Single consumer: per-stream append order is exactly the order the
-  // driver emitted, which is batch order — the same order the
-  // synchronous schedule archives in.
-  while (auto item = archive_queue_->Pop()) {
-    try {
-      item->store->Archive(item->frame, item->ts_ns, item->force_keyframe);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --archive_in_flight_;
-        idle_cv_.notify_all();
-      }
-      RecordPipelineError();
-      // Keep draining so a blocked producer always gets unstuck; the error
-      // surfaces at StopPipeline.
-      continue;
-    }
+    // The turn's lock is gone with the try block; StopPipeline() rethrows.
     std::lock_guard<std::mutex> lock(mu_);
-    --archive_in_flight_;
-    idle_cv_.notify_all();
-  }
-}
-
-void EdgeFleet::RecordPipelineError() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!pipeline_error_) pipeline_error_ = std::current_exception();
+    pipeline_error_ = std::current_exception();
     pipeline_stop_ = true;
-    driver_cv_.notify_all();
     idle_cv_.notify_all();
   }
-  // Unblocks the other thread: Push() returns false, Pop() drains then ends.
-  if (archive_queue_ != nullptr) archive_queue_->Close();
 }
 
 void EdgeFleet::StartPipeline() {
@@ -1256,15 +1210,6 @@ void EdgeFleet::StartPipeline() {
   pipeline_stop_ = false;
   driver_idle_ = false;
   pipeline_error_ = nullptr;
-  if (archiving_enabled()) {
-    // Deep enough to absorb a couple of batches of archive appends before
-    // back-pressuring the driver.
-    archive_queue_ = std::make_unique<util::BoundedQueue<ArchiveItem>>(
-        static_cast<std::size_t>(std::max<std::int64_t>(2 * cfg_.max_batch,
-                                                        8)));
-    archive_in_flight_ = 0;
-    archive_thread_ = std::thread(&EdgeFleet::ArchiveThreadMain, this);
-  }
   pipeline_active_ = true;
   driver_thread_ = std::thread(&EdgeFleet::DriverThreadMain, this);
 }
@@ -1278,17 +1223,9 @@ void EdgeFleet::StopPipeline() {
   // The driver finishes the turn it is in — the batch it gathered is
   // processed (clean drain-on-stop) — and exits.
   driver_thread_.join();
-  // The driver is done pushing; close the archive queue and let the writer
-  // drain it — every processed frame's archive append lands before the
-  // pipeline reports stopped.
-  if (archive_queue_ != nullptr) {
-    archive_queue_->Close();
-    archive_thread_.join();
-  }
 
   lock.lock();
   pipeline_active_ = false;
-  archive_queue_.reset();
   const std::exception_ptr err = pipeline_error_;
   pipeline_error_ = nullptr;
   lock.unlock();
@@ -1305,7 +1242,7 @@ void EdgeFleet::WaitPipelineIdle() {
   FF_CHECK_MSG(pipeline_active_, "no pipeline is running");
   idle_cv_.wait(lock, [&] {
     if (pipeline_error_) return true;  // StopPipeline() rethrows it
-    return driver_idle_ && archive_in_flight_ == 0 && !AnyFrameReady();
+    return driver_idle_ && !AnyFrameReady();
   });
 }
 

@@ -40,8 +40,9 @@
 // StopPipeline drains — the batch being gathered is processed before the
 // driver joins, and frames still in Push() queues remain queued for a
 // later Step()/StartPipeline(). In pipelined mode sinks fire on the driver
-// thread, one batch at a time; with archiving on, a second thread appends
-// to the archives so disk I/O stays off the driver.
+// thread, one batch at a time. Either schedule appends each batch's frames
+// to their streams' archives at the end of its turn, after the batch's
+// sinks have fired.
 //
 // Scheduling is still pull-driven and fair: each batch gathers up to
 // `max_batch` frames round-robin across the live streams OF ONE BUCKET
@@ -118,7 +119,6 @@
 #include "core/smoothing.hpp"
 #include "util/clock.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "video/source.hpp"
 #include "xcam/correlator.hpp"
@@ -409,7 +409,8 @@ class EdgeFleet {
   // returns (clean drain — no gap in any stream's decision stream); frames
   // still in Push() queues stay queued. Rethrows the first error the
   // pipeline hit (e.g. a source yielding a frame that contradicts its
-  // declared geometry, or a FrameSource::Next() that threw mid-gather).
+  // declared geometry, a FrameSource::Next() that threw mid-gather, or an
+  // archive append the store rejected after its batch was processed).
   // An ABORTED pipeline is lossless for the surviving streams: admitted
   // frames that were gathered but not processed when the driver failed are
   // restaged onto their streams' queues in order, so after removing the
@@ -418,10 +419,9 @@ class EdgeFleet {
   // again afterwards.
   void StopPipeline();
   // Blocks until the pipeline has nothing left to do: every source
-  // exhausted, every queue empty, the driver parked and every archive
-  // append done (the pipelined analogue of Run()'s exhaustion), or the
-  // pipeline failed. Does not stop the pipeline — streams can still be
-  // added or pushed after.
+  // exhausted, every queue empty and the driver parked (the pipelined
+  // analogue of Run()'s exhaustion), or the pipeline failed. Does not stop
+  // the pipeline — streams can still be added or pushed after.
   void WaitPipelineIdle();
   bool pipeline_active() const;
   // StartPipeline() + WaitPipelineIdle() + StopPipeline() + Drain().
@@ -592,8 +592,8 @@ class EdgeFleet {
     std::unique_ptr<codec::Encoder> uplink;
     std::int64_t last_uploaded = -2;
     std::int64_t frames_uploaded = 0;
-    // Shared: the pipelined archive tail and demand-fetch handlers hold
-    // references that outlive stream churn (fetch-after-detach).
+    // Shared: demand-fetch handlers hold references that outlive stream
+    // churn (fetch-after-detach).
     std::shared_ptr<EdgeStore> store;
     // --- xcam state (only populated for topology member streams) ---------
     bool in_topology = false;
@@ -631,17 +631,6 @@ class EdgeFleet {
              std::pair<bool, std::int64_t>>
         xverdicts;
     std::int64_t frames_suppressed = 0;
-  };
-
-  // One deferred archive append: the pipelined schedule hands (store, frame
-  // copy) to a dedicated archive-writer thread so disk I/O never stalls the
-  // driver. Single consumer, so per-stream append order is exactly
-  // batch order — pipelined and synchronous archives are bitwise-identical.
-  struct ArchiveItem {
-    std::shared_ptr<EdgeStore> store;
-    video::Frame frame;
-    std::int64_t ts_ns = -1;      // capture timestamp (wall-clock index)
-    bool force_keyframe = false;  // first kept frame after a shed gap
   };
 
   // One admitted frame staged into a bucket's batch. Every staged frame
@@ -723,15 +712,11 @@ class EdgeFleet {
   bool StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
                   std::unique_lock<std::mutex>* io_lock);
   // Stages B + C: bookkeeping, one base-DNN forward over the staged batch,
-  // the (stream, tenant) MC fan-out, then phases 3-5 per frame in batch
-  // order. Returns frames processed (staged entries whose stream is gone
-  // are discarded). Caller must hold mu_. When `deferred_archive` is
-  // non-null, archive appends are collected there (with a frame copy)
-  // instead of running inline — the pipeline driver pushes them to the
-  // archive-writer thread AFTER releasing mu_, so a full archive queue can
-  // never deadlock against the fleet lock.
-  std::int64_t ProcessStaged(StagedBatch& batch,
-                             std::vector<ArchiveItem>* deferred_archive);
+  // the (stream, tenant) MC fan-out, phases 3-5 per frame in batch order,
+  // then the archive appends (after every sink of the batch has fired).
+  // Returns frames processed (staged entries whose stream is gone are
+  // discarded). Caller must hold mu_.
+  std::int64_t ProcessStaged(StagedBatch& batch);
   // One turn of either schedule: picks the next bucket (round-robin) with a
   // frame ready, gathers up to `cap` frames round-robin across its streams
   // (StageFrame), and processes the batch (ProcessStaged). A gather that
@@ -739,21 +724,14 @@ class EdgeFleet {
   // opens no gap in any surviving stream's decision sequence. Returns
   // frames processed — 0 when no bucket had a frame ready, or when every
   // frame gathered belonged to a stream removed mid-gather. Caller holds
-  // mu_; `io_lock` and `deferred_archive` as for StageFrame and
-  // ProcessStaged.
-  std::int64_t RunTurn(std::int64_t cap, std::unique_lock<std::mutex>* io_lock,
-                       std::vector<ArchiveItem>* deferred_archive);
+  // mu_; `io_lock` as for StageFrame.
+  std::int64_t RunTurn(std::int64_t cap, std::unique_lock<std::mutex>* io_lock);
 
   // The pipelined schedule's one fleet thread: RunTurn in a loop.
   void DriverThreadMain();
-  // Archive tail (pipelined mode only): pops ArchiveItems and appends them
-  // to their stores. Never takes mu_ while appending, so the driver can
-  // block on a full archive queue without holding up this consumer.
-  void ArchiveThreadMain();
   bool archiving_enabled() const {
     return cfg_.edge_store_capacity > 0 || !cfg_.archive_dir.empty();
   }
-  void RecordPipelineError();
 
   void DeliverScore(Stream& s, Tenant& tenant, float score);
   void NotifyDecision(Stream& s, Tenant& tenant, bool positive);
@@ -812,15 +790,12 @@ class EdgeFleet {
   std::unique_ptr<XcamPlane> xcam_;
   CrossEventSink cross_event_sink_;
 
-  // Pipeline state (all guarded by mu_; the archive queue has its own
-  // internal lock and is only ever pushed/popped with mu_ released).
+  // Pipeline state (all guarded by mu_).
   mutable std::mutex mu_;
   // The thread inside a SinkScope, or none. Written under mu_; Lock() reads
   // it before taking mu_, and only ever compares it with its own id.
   std::atomic<std::thread::id> sink_thread_{};
-  std::thread driver_thread_, archive_thread_;
-  std::unique_ptr<util::BoundedQueue<ArchiveItem>> archive_queue_;
-  std::int64_t archive_in_flight_ = 0;  // items queued but not yet appended
+  std::thread driver_thread_;
   bool pipeline_active_ = false;
   bool pipeline_stop_ = false;
   bool driver_idle_ = false;      // driver parked with no frame ready

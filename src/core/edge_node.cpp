@@ -8,17 +8,11 @@ namespace {
 
 EdgeFleetConfig FleetConfig(const EdgeNodeConfig& cfg) {
   EdgeFleetConfig fc;
-  fc.vote_window = cfg.vote_window;
-  fc.vote_k = cfg.vote_k;
   fc.upload_bitrate_bps = cfg.upload_bitrate_bps;
   fc.enable_upload = cfg.enable_upload;
   fc.edge_store_capacity = cfg.edge_store_capacity;
-  fc.archive_dir = cfg.archive_dir;
-  fc.archive_budget_bytes = cfg.archive_budget_bytes;
-  fc.archive_gop = cfg.archive_gop;
   fc.parallel_mcs = cfg.parallel_mcs;
   fc.max_batch = std::max<std::int64_t>(1, cfg.submit_batch);
-  fc.clock = cfg.clock;
   // Submit() stages and drains within one call (each span is exactly one
   // Step), so the node bounds its own in-flight frames; the fleet queue
   // need not.

@@ -60,34 +60,18 @@ struct EdgeNodeConfig {
   std::int64_t frame_width = 0;
   std::int64_t frame_height = 0;
   std::int64_t fps = 15;
-  // K-voting parameters (paper §3.5: N = 5, K = 2).
-  std::int64_t vote_window = 5;
-  std::int64_t vote_k = 2;
   // Target bitrate for re-encoding matched frames.
   double upload_bitrate_bps = 500'000;
   // Disable to skip the uplink encoder entirely (pure-filtering benches).
   bool enable_upload = true;
-  // Edge store capacity in frames (0 disables archiving/demand-fetch
-  // unless archive_dir is set).
+  // Edge store capacity in frames (0 disables archiving/demand-fetch).
   std::int64_t edge_store_capacity = 0;
-  // Durable archiving (see EdgeFleetConfig::archive_dir and friends): when
-  // non-empty the node's archive is an on-disk pack that survives restarts.
-  std::string archive_dir;
-  std::uint64_t archive_budget_bytes = 0;
-  std::int64_t archive_gop = 1;
   // Phase 2 across the thread pool (one task per tenant) once the tenant
   // count is large enough to occupy it; with few tenants the MCs run
   // serially and their kernels parallelize internally instead. Disable to
   // always run MCs single-threaded in attach order (per-MC CPU
   // attribution, Fig. 6).
   bool parallel_mcs = true;
-  // Time source for the node's ingest→decision latency accounting
-  // (fleet_stats() through the facade). Borrowed, must outlive the node;
-  // null uses the process-wide steady clock. The node configures no SLO or
-  // shed depth on its fleet, so it never sheds and this only affects the
-  // latency numbers (and the capture timestamps stamped on frames that
-  // arrive without one).
-  util::Clock* clock = nullptr;
   // Frames per phase-1 batch in Run(): the base DNN forwards (N, 3, H, W)
   // at a time, so its conv kernels parallelize across n × out_c instead of
   // out_c alone. Decisions are bitwise-identical to frame-at-a-time

@@ -14,8 +14,9 @@
 // clip is re-encoded on demand at the requested bitrate and returned as real
 // bitstream chunks.
 //
-// Thread-safe: Archive and FetchClip may race (the fleet's archive tail
-// appends while a demand-fetch reads); an internal mutex serializes them.
+// Thread-safe: Archive and FetchClip may race (the fleet appends at the end
+// of each turn while a demand-fetch handler reads on its own thread); an
+// internal mutex serializes them.
 #pragma once
 
 #include <cstdint>

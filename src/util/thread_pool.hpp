@@ -1,7 +1,7 @@
-// A fixed-size thread pool with a blocking ParallelFor, plus a bounded
-// hand-off queue for passing work to a dedicated long-running thread (such
-// threads are deliberately NOT pool workers: one runs for the pipeline's
-// whole lifetime and would permanently eat a worker the conv kernels need).
+// A fixed-size thread pool with a blocking ParallelFor. The EdgeFleet's
+// pipeline driver is deliberately NOT a pool worker: it runs for the
+// pipeline's whole lifetime and would permanently eat a worker the conv
+// kernels need.
 //
 // The NN kernels parallelize across output channels / rows through this pool.
 // The pool is created once (see GlobalPool) so convolutions do not pay thread
@@ -19,89 +19,13 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace ff::util {
-
-// Bounded blocking hand-off queue between threads (the EdgeFleet's pipeline
-// driver hands archive appends to its archive-writer thread through one of
-// these). Multi-producer/multi-consumer safe.
-//
-// Shutdown protocol: Close() wakes every blocked producer and consumer;
-// after it, Push returns false (the item is NOT enqueued) and Pop keeps
-// returning the items already queued — a closed queue drains, it does not
-// drop — then nullopt. This is what gives a pipeline clean drain-on-stop:
-// the producer closes, the consumer finishes everything in flight, then
-// exits on the first nullopt.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
-    // A zero-capacity queue could never accept an item; fail loudly instead
-    // of deadlocking the first Push.
-    if (capacity_ == 0) capacity_ = 1;
-  }
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  // Blocks while the queue is full. Returns true once the item is enqueued,
-  // false if the queue was closed first (the item is dropped).
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_cv_.wait(lock,
-                   [this] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    item_cv_.notify_one();
-    return true;
-  }
-
-  // Blocks while the queue is empty and open. Returns the next item, or
-  // nullopt once the queue is closed AND drained.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    item_cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return item;
-  }
-
-  // Idempotent; wakes every waiter (see the shutdown protocol above).
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    item_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable item_cv_;   // signaled on push and close
-  std::condition_variable space_cv_;  // signaled on pop and close
-  std::deque<T> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
 
 class ThreadPool {
  public:

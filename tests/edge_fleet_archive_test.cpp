@@ -1,11 +1,13 @@
 // The fleet's archive tail (phase 5) against the durable store subsystem:
-// per-stream pack archives under EdgeFleetConfig::archive_dir, written by
-// the pipelined archive-writer thread without stalling the driver.
+// per-stream pack archives under EdgeFleetConfig::archive_dir, appended at
+// the end of each turn — on the Step() caller or the pipeline driver —
+// after the batch's sinks have fired.
 // Pins: (a) the pipelined schedule archives BITWISE-identically to the
 // synchronous one, (b) AddStream/RemoveStream churn mid-run keeps every
 // archive consistent, (c) a removed stream's archive remains fetchable
-// (fetch-after-detach via the retired-store registry), and (d) a fleet
-// archive survives fleet destruction and reopens clean.
+// (fetch-after-detach via the retired-store registry), (d) a fleet
+// archive survives fleet destruction and reopens clean, and (e) an append
+// that throws surfaces on either schedule and leaves a destructible fleet.
 //
 // This suite runs under the CI ThreadSanitizer leg.
 #include <gtest/gtest.h>
@@ -69,8 +71,7 @@ void ExpectArchivesBitwiseEqual(EdgeStore& a, EdgeStore& b) {
 
 // (a) The pipelined archive tail appends, per stream, exactly the bytes the
 // synchronous schedule appends — same chunks, same order, same windows —
-// even though the appends happen on a dedicated writer thread overlapping
-// later batches' compute.
+// even though the pipeline driver interleaves them with later gathers.
 TEST(EdgeFleetArchive, PipelinedArchiveMatchesSynchronousBitwise) {
   const std::int64_t kFrames = 10;
   TempDir sync_dir("sync");
@@ -115,7 +116,7 @@ TEST(EdgeFleetArchive, PipelinedArchiveMatchesSynchronousBitwise) {
   }
 }
 
-// (b)+(c) Stream churn while the pipeline (and its archive writer) runs:
+// (b)+(c) Stream churn while the pipeline runs:
 // streams added mid-run archive from their first frame, a stream removed
 // mid-run keeps its archive fetchable through the retired-store registry,
 // and handles the fleet never saw fail loudly.
@@ -230,6 +231,47 @@ TEST(EdgeFleetArchive, InRamCapacityArchivingWorksPipelined) {
   EXPECT_EQ(fleet.edge_store(s)->end_available(), 15);
   EXPECT_EQ(fleet.edge_store(s)->first_available(), 9);
   EXPECT_FALSE(fleet.edge_store(s)->recovery().has_value());
+}
+
+// (e) A store that rejects the append fails the turn it runs in. The pack
+// left under stream 0's directory has another geometry, so the first
+// append throws (EdgeStore's reopened-geometry check) after the batch was
+// processed. Pipelined, WaitPipelineIdle() returns rather than hangs and
+// StopPipeline() rethrows; synchronous, Step() throws. Either way the
+// fleet then destructs cleanly.
+TEST(EdgeFleetArchive, AppendErrorSurfacesOnEitherSchedule) {
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "synchronous");
+    TempDir dir(pipelined ? "error_pipe" : "error_sync");
+    {
+      EdgeStoreConfig sc;
+      sc.dir = (dir.path / "stream-0").string();
+      EdgeStore other(sc);
+      other.Archive(PushFrame(64, 48, 0), 0, false);
+    }
+    dnn::FeatureExtractor fx({.include_classifier = false});
+    EdgeFleetConfig cfg;
+    cfg.enable_upload = false;
+    cfg.archive_dir = dir.str();
+    EdgeFleet fleet(fx, cfg);
+    const StreamHandle s = fleet.AddStream({.frame_width = 128,
+                                            .frame_height = 96,
+                                            .fps = 15});
+    fleet.Push(s, PushFrame(128, 96, 0));
+    if (pipelined) {
+      fleet.StartPipeline();
+      fleet.WaitPipelineIdle();
+      EXPECT_THROW(fleet.StopPipeline(), util::CheckError);
+      EXPECT_FALSE(fleet.pipeline_active());
+    } else {
+      EXPECT_THROW(fleet.Step(), util::CheckError);
+    }
+    // The append runs after the batch's decisions: the frame counts as
+    // processed even though its archive write failed, and the reopened
+    // pack still holds only its own frame.
+    EXPECT_EQ(fleet.frames_processed(s), 1);
+    EXPECT_EQ(fleet.edge_store(s)->end_available(), 1);
+  }
 }
 
 }  // namespace

@@ -337,7 +337,7 @@ TEST(EdgeFleet, MisbehavingSourceMidGatherLosesNoStagedFrames) {
   fleet.Drain();
 }
 
-TEST(EdgeFleet, PushDrivenStreamBoundedQueueAndEquivalence) {
+TEST(EdgeFleet, PushDrivenStreamQueueIsBoundedAndEquivalent) {
   const video::SyntheticDataset ds(SmallSpec(9, 51));
   dnn::FeatureExtractor fx({.include_classifier = false});
   auto cfg = FleetConfig();

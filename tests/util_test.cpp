@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -151,54 +150,6 @@ TEST(ThreadPool, ReusableAfterException) {
   std::atomic<int> n{0};
   pool.ParallelFor(10, [&](std::size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 10);
-}
-
-TEST(BoundedQueue, FifoOrderAcrossThreads) {
-  util::BoundedQueue<int> q(3);
-  std::thread producer([&] {
-    for (int i = 0; i < 200; ++i) ASSERT_TRUE(q.Push(i));
-    q.Close();
-  });
-  int expect = 0;
-  while (auto v = q.Pop()) {
-    EXPECT_EQ(*v, expect++);  // bounded capacity forces real blocking
-  }
-  EXPECT_EQ(expect, 200);
-  producer.join();
-}
-
-TEST(BoundedQueue, CloseDrainsThenEnds) {
-  util::BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
-  q.Close();
-  // Closed queues drain — they do not drop (the pipeline's clean stop
-  // depends on this) — and reject new items without blocking.
-  EXPECT_FALSE(q.Push(3));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueue, CloseUnblocksFullProducerAndEmptyConsumer) {
-  util::BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(0));
-  std::thread blocked_producer([&] { EXPECT_FALSE(q.Push(1)); });
-  util::BoundedQueue<int> empty(1);
-  std::thread blocked_consumer([&] { EXPECT_FALSE(empty.Pop().has_value()); });
-  q.Close();
-  empty.Close();
-  blocked_producer.join();
-  blocked_consumer.join();
-}
-
-TEST(BoundedQueue, MoveOnlyPayloads) {
-  util::BoundedQueue<std::unique_ptr<int>> q(2);
-  ASSERT_TRUE(q.Push(std::make_unique<int>(42)));
-  auto v = q.Pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 42);
 }
 
 TEST(RunningStat, MeanVarianceMinMax) {

@@ -72,22 +72,6 @@ const nn::kernels::OpTable& KernelTable(std::int64_t simd) {
   return simd != 0 ? nn::kernels::Active() : nn::kernels::scalar::Table();
 }
 
-void BM_KernelAxpy(benchmark::State& state) {
-  const auto& ops = KernelTable(state.range(0));
-  const std::int64_t n = state.range(1);
-  util::Pcg32 rng(11);
-  std::vector<float> x(static_cast<std::size_t>(n)), y(x.size());
-  for (auto& v : x) v = rng.NextFloat();
-  for (auto _ : state) {
-    ops.axpy(1.01f, x.data(), y.data(), n);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2e-9 * static_cast<double>(n),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_KernelAxpy)->Args({0, 960})->Args({1, 960});
-
 void BM_KernelPwAcc4(benchmark::State& state) {
   const auto& ops = KernelTable(state.range(0));
   const std::int64_t n = 960, n_ic = 128;
@@ -179,40 +163,12 @@ BENCHMARK(BM_KernelDot)->Arg(0)->Arg(1);
 
 // --- int8 kernels (GOP/s vs the float counterparts above) ------------------
 
-void BM_KernelQPwAcc2(benchmark::State& state) {
-  const auto& ops = KernelTable(state.range(0));
-  const std::int64_t n = 960, n_ic = 128;
-  util::Pcg32 rng(21);
-  std::vector<std::uint8_t> xdata(static_cast<std::size_t>(n * n_ic));
-  for (auto& v : xdata) v = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
-  std::vector<const std::uint8_t*> xs(static_cast<std::size_t>(n_ic));
-  for (std::int64_t ic = 0; ic < n_ic; ++ic) {
-    xs[static_cast<std::size_t>(ic)] = xdata.data() + ic * n;
-  }
-  std::vector<std::int8_t> w(static_cast<std::size_t>(2 * n_ic));
-  for (auto& v : w) v = static_cast<std::int8_t>(rng.UniformInt(-127, 127));
-  std::vector<std::int32_t> acc0(static_cast<std::size_t>(n));
-  std::vector<std::int32_t> acc1(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    std::fill(acc0.begin(), acc0.end(), 0);
-    std::fill(acc1.begin(), acc1.end(), 0);
-    ops.qpw_acc2(xs.data(), n_ic, w.data(), w.data() + n_ic, acc0.data(),
-                 acc1.data(), n);
-    benchmark::DoNotOptimize(acc0.data());
-    benchmark::DoNotOptimize(acc1.data());
-  }
-  state.counters["GOP/s"] = benchmark::Counter(
-      2e-9 * static_cast<double>(2 * n_ic * n),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_KernelQPwAcc2)->Arg(0)->Arg(1);
-
 void BM_KernelQPwAcc2Packed(benchmark::State& state) {
-  // Same contraction as BM_KernelQPwAcc2 but through the channel-quad packed
-  // layout (pack amortized across all output channels, as RunOp does). The
-  // second arg is the plane size: 960 matches the unpacked bench, 144 is the
-  // 9x16 conv5 plane at 256px input whose 16-pixel tail used to fall off the
-  // SIMD path.
+  // Two output channels of a 128-channel pointwise contraction through the
+  // channel-quad packed layout (pack amortized across all output channels,
+  // as RunOp does). The second arg is the plane size: 960 matches the float
+  // pw_acc benches, 144 is the 9x16 conv5 plane at 256px input whose
+  // 16-pixel tail used to fall off the SIMD path.
   const auto& ops = KernelTable(state.range(0));
   const std::int64_t n = state.range(1), n_ic = 128;
   util::Pcg32 rng(21);

@@ -17,7 +17,6 @@ void DatacenterReceiver::Receive(const UploadPacket& packet) {
   FF_CHECK_EQ(packet.frame_index, packet.metadata.frame_index);
   last_index_ = packet.frame_index;
   bytes_received_ += packet.chunk.size();
-  clips_dirty_ = true;
 
   // Tombstones carry metadata only: the clip was suppressed by cross-camera
   // dedupe (its canonical view arrives on another stream's receiver). The
@@ -49,15 +48,11 @@ void DatacenterReceiver::Receive(const UploadPacket& packet) {
   }
 }
 
-const std::vector<DatacenterReceiver::EventClip>& DatacenterReceiver::Clips()
-    const {
-  if (clips_dirty_) {
-    clips_cache_.clear();
-    clips_cache_.reserve(clips_.size());
-    for (const auto& [key, clip] : clips_) clips_cache_.push_back(clip);
-    clips_dirty_ = false;
-  }
-  return clips_cache_;
+std::vector<DatacenterReceiver::EventClip> DatacenterReceiver::Clips() const {
+  std::vector<EventClip> clips;
+  clips.reserve(clips_.size());
+  for (const auto& [key, clip] : clips_) clips.push_back(clip);
+  return clips;
 }
 
 }  // namespace ff::core

@@ -58,11 +58,8 @@ class DatacenterReceiver {
     std::vector<std::size_t> frame_slots;  // indices into frames()
   };
 
-  // Clips observed so far, grouped per MC in (mc, event id) order. The
-  // returned view is stable between Receive() calls: it is rebuilt lazily
-  // and cached, so ingest-side polling loops are O(1) per pump instead of
-  // O(clips). The reference is invalidated by the next Receive().
-  const std::vector<EventClip>& Clips() const;
+  // Clips observed so far, grouped per MC in (mc, event id) order.
+  std::vector<EventClip> Clips() const;
 
   // All decoded frames, in arrival order (frame_slots index into this).
   const std::vector<video::Frame>& frames() const { return frames_; }
@@ -83,8 +80,6 @@ class DatacenterReceiver {
   std::vector<std::int64_t> frame_indices_;
   // (mc, event id) -> clip under assembly.
   std::map<std::pair<std::string, std::int64_t>, EventClip> clips_;
-  mutable std::vector<EventClip> clips_cache_;
-  mutable bool clips_dirty_ = false;
   std::uint64_t bytes_received_ = 0;
   std::int64_t last_index_ = -1;
   std::int64_t tombstones_received_ = 0;

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 #if (defined(__x86_64__) || defined(__amd64__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -35,16 +34,6 @@ void PwAcc8ByQuads(const float* const* x, std::int64_t n_ic, const float* w,
     PwAcc4Fn(x, n_ic, w + k * w_stride, w_stride, yk, yk + y_stride,
              yk + 2 * y_stride, yk + 3 * y_stride, n);
   }
-}
-
-// qpw_acc2/qpw_acc2p for the scalar reference: the one-channel kernel once
-// per output channel, which is the pair's contract.
-template <auto QAcc1Fn, typename X>
-void QPwAcc2ByOnes(X x, std::int64_t n_ic, const std::int8_t* w0,
-                   const std::int8_t* w1, std::int32_t* acc0,
-                   std::int32_t* acc1, std::int64_t n) {
-  QAcc1Fn(x, n_ic, w0, acc0, n);
-  QAcc1Fn(x, n_ic, w1, acc1, n);
 }
 
 // Scalar reference pieces of the int8 path, shared by every ISA's tail and
@@ -152,35 +141,32 @@ void Fill(float* y, std::int64_t n, float v) {
   for (std::int64_t i = 0; i < n; ++i) y[i] = v;
 }
 
-void Axpy(float a, const float* x, float* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-void Axpy4(const float* w, const float* x, float* y0, float* y1, float* y2,
-           float* y3, std::int64_t n) {
-  const float w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    y0[i] += w0 * v;
-    y1[i] += w1 * v;
-    y2[i] += w2 * v;
-    y3[i] += w3 * v;
-  }
-}
-
 void AxpyRows(float a, const float* x, std::int64_t x_stride, float* y,
               std::int64_t y_stride, std::int64_t rows, std::int64_t n) {
   for (std::int64_t r = 0; r < rows; ++r) {
-    Axpy(a, x + r * x_stride, y + r * y_stride, n);
+    const float* xr = x + r * x_stride;
+    float* yr = y + r * y_stride;
+    for (std::int64_t i = 0; i < n; ++i) yr[i] += a * xr[i];
   }
 }
 
 void Axpy4Rows(const float* w, const float* x, std::int64_t x_stride,
                float* y0, float* y1, float* y2, float* y3,
                std::int64_t y_stride, std::int64_t rows, std::int64_t n) {
+  const float w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
   for (std::int64_t r = 0; r < rows; ++r) {
-    Axpy4(w, x + r * x_stride, y0 + r * y_stride, y1 + r * y_stride,
-          y2 + r * y_stride, y3 + r * y_stride, n);
+    const float* xr = x + r * x_stride;
+    float* r0 = y0 + r * y_stride;
+    float* r1 = y1 + r * y_stride;
+    float* r2 = y2 + r * y_stride;
+    float* r3 = y3 + r * y_stride;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float v = xr[i];
+      r0[i] += w0 * v;
+      r1[i] += w1 * v;
+      r2[i] += w2 * v;
+      r3[i] += w3 * v;
+    }
   }
 }
 
@@ -251,21 +237,16 @@ void Relu6(const float* x, float* y, std::int64_t n) {
   }
 }
 
-std::uint32_t SadU8(const std::uint8_t* a, const std::uint8_t* b,
-                    std::int64_t n) {
-  std::uint32_t sad = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    sad += static_cast<std::uint32_t>(
-        a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]);
-  }
-  return sad;
-}
-
 std::uint32_t Sad16x16(const std::uint8_t* a, std::int64_t stride_a,
                        const std::uint8_t* b, std::int64_t stride_b) {
   std::uint32_t sad = 0;
   for (int y = 0; y < 16; ++y) {
-    sad += SadU8(a + y * stride_a, b + y * stride_b, 16);
+    const std::uint8_t* ar = a + y * stride_a;
+    const std::uint8_t* br = b + y * stride_b;
+    for (int i = 0; i < 16; ++i) {
+      sad += static_cast<std::uint32_t>(
+          ar[i] > br[i] ? ar[i] - br[i] : br[i] - ar[i]);
+    }
   }
   return sad;
 }
@@ -277,13 +258,6 @@ void QAxpyRows(std::int32_t w, const std::uint8_t* x, std::int64_t x_stride,
     const std::uint8_t* xr = x + r * x_stride;
     std::int32_t* ar = acc + r * acc_stride;
     for (std::int64_t i = 0; i < n; ++i) ar[i] += w * xr[i];
-  }
-}
-
-void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
-             const std::int8_t* w, std::int32_t* acc, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    acc[i] += qdetail::QPwPixel(x, 0, n_ic, w, i);
   }
 }
 
@@ -315,6 +289,15 @@ void QPwAcc1P(const std::uint8_t* packed, std::int64_t n_ic,
       acc[i] += qdetail::QPackedPixel(pq + 4 * i, wq);
     }
   }
+}
+
+// The scalar pair is the one-channel kernel once per output channel, which
+// is the pair's contract.
+void QPwAcc2P(const std::uint8_t* packed, std::int64_t n_ic,
+              const std::int8_t* w0, const std::int8_t* w1, std::int32_t* acc0,
+              std::int32_t* acc1, std::int64_t n) {
+  QPwAcc1P(packed, n_ic, w0, acc0, n);
+  QPwAcc1P(packed, n_ic, w1, acc1, n);
 }
 
 void QAxpyRowsS2(std::int32_t w, const std::uint8_t* x,
@@ -353,18 +336,21 @@ void QQuant(const float* x, float inv_scale, float zp, std::uint8_t* y,
   }
 }
 
-constexpr OpTable kTable = {Fill,      Axpy,       Axpy4,     AxpyRows,
-                            Axpy4Rows, AxpyRowsS2, PwAcc4,
-                            PwAcc8ByQuads<PwAcc4>,
+constexpr OpTable kTable = {Fill,      AxpyRows,   Axpy4Rows, AxpyRowsS2,
+                            PwAcc4,    PwAcc8ByQuads<PwAcc4>,
                             PwAcc1,    Dot,        Relu,      Relu6,
-                            SadU8,     Sad16x16,   QAxpyRows, QPwAcc1,
-                            QPwAcc2ByOnes<QPwAcc1, const std::uint8_t* const*>,
-                            QPwPack,   QPwAcc1P,
-                            QPwAcc2ByOnes<QPwAcc1P, const std::uint8_t*>,
-                            QAxpyRowsS2, QDot,     QRequant,  QDequant,
-                            QQuant};
+                            Sad16x16,  QAxpyRows,  QPwPack,   QPwAcc1P,
+                            QPwAcc2P,  QAxpyRowsS2, QDot,     QRequant,
+                            QDequant,  QQuant};
 
 }  // namespace
+
+void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
+             const std::int8_t* w, std::int32_t* acc, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    acc[i] += qdetail::QPwPixel(x, 0, n_ic, w, i);
+  }
+}
 
 const OpTable& Table() { return kTable; }
 
@@ -386,17 +372,6 @@ FF_AVX2 void Fill(float* y, std::int64_t n, float v) {
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) _mm256_storeu_ps(y + i, vv);
   for (; i < n; ++i) y[i] = v;
-}
-
-FF_AVX2 void Axpy(float a, const float* x, float* y, std::int64_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(
-        y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, _mm256_loadu_ps(x + i))));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
 }
 
 FF_AVX2 void AxpyRows(float a, const float* x, std::int64_t x_stride,
@@ -622,28 +597,6 @@ FF_AVX2 void Relu6(const float* x, float* y, std::int64_t n) {
   }
 }
 
-FF_AVX2 std::uint32_t SadU8(const std::uint8_t* a, const std::uint8_t* b,
-                            std::int64_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(va, vb));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint32_t sad =
-      static_cast<std::uint32_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    sad += static_cast<std::uint32_t>(
-        a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]);
-  }
-  return sad;
-}
-
 // A 16-byte row fills one xmm register, so this is baseline 128-bit psadbw
 // without the AVX2 target: a 256-bit copy measured no faster.
 std::uint32_t Sad16x16(const std::uint8_t* a, std::int64_t stride_a,
@@ -699,8 +652,8 @@ FF_AVX2 inline __m256i QQuadMadd(__m256i u, __m256i wq, __m256i ones) {
 }
 
 // Transposes four 32-pixel channel rows into per-pixel channel quads.
-// u_k lane0 holds pixels 4k..4k+3, lane1 pixels 16+4k..16+4k+3; the
-// accumulator permutation below matches that layout.
+// u_k lane0 holds pixels 4k..4k+3, lane1 pixels 16+4k..16+4k+3; QPwPack's
+// store permutation below matches that layout.
 #define FF_Q_TRANSPOSE4(base)                                             \
   const __m256i r0 = _mm256_loadu_si256(                                  \
       reinterpret_cast<const __m256i*>(x[(base)] + i));                   \
@@ -718,124 +671,6 @@ FF_AVX2 inline __m256i QQuadMadd(__m256i u, __m256i wq, __m256i ones) {
   const __m256i u1 = _mm256_unpackhi_epi16(t0, t2);                       \
   const __m256i u2 = _mm256_unpacklo_epi16(t1, t3);                       \
   const __m256i u3 = _mm256_unpackhi_epi16(t1, t3)
-
-FF_AVX2 void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
-                     const std::int8_t* w, std::int32_t* acc,
-                     std::int64_t n) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  std::int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i y0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i y1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 8));
-    const __m256i y2 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 16));
-    const __m256i y3 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 24));
-    // Accumulators in transpose-group order: aA = px[0-3 | 16-19], etc.
-    __m256i aA = _mm256_permute2x128_si256(y0, y2, 0x20);
-    __m256i aB = _mm256_permute2x128_si256(y0, y2, 0x31);
-    __m256i aC = _mm256_permute2x128_si256(y1, y3, 0x20);
-    __m256i aD = _mm256_permute2x128_si256(y1, y3, 0x31);
-    std::int64_t ic = 0;
-    for (; ic + 4 <= n_ic; ic += 4) {
-      FF_Q_TRANSPOSE4(ic);
-      const __m256i wq = _mm256_set1_epi32(qdetail::QuadBits(w + ic));
-      aA = _mm256_add_epi32(aA, QQuadMadd(u0, wq, ones));
-      aB = _mm256_add_epi32(aB, QQuadMadd(u1, wq, ones));
-      aC = _mm256_add_epi32(aC, QQuadMadd(u2, wq, ones));
-      aD = _mm256_add_epi32(aD, QQuadMadd(u3, wq, ones));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_permute2x128_si256(aA, aB, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 8),
-                        _mm256_permute2x128_si256(aC, aD, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 16),
-                        _mm256_permute2x128_si256(aA, aB, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 24),
-                        _mm256_permute2x128_si256(aC, aD, 0x31));
-    if (ic < n_ic) {
-      for (std::int64_t p = 0; p < 32; ++p) {
-        acc[i + p] += qdetail::QPwPixel(x, ic, n_ic, w, i + p);
-      }
-    }
-  }
-  for (; i < n; ++i) acc[i] += qdetail::QPwPixel(x, 0, n_ic, w, i);
-}
-
-FF_AVX2 void QPwAcc2(const std::uint8_t* const* x, std::int64_t n_ic,
-                     const std::int8_t* w0, const std::int8_t* w1,
-                     std::int32_t* acc0, std::int32_t* acc1, std::int64_t n) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  std::int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i y00 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc0 + i));
-    const __m256i y01 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc0 + i + 8));
-    const __m256i y02 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc0 + i + 16));
-    const __m256i y03 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc0 + i + 24));
-    __m256i aA0 = _mm256_permute2x128_si256(y00, y02, 0x20);
-    __m256i aB0 = _mm256_permute2x128_si256(y00, y02, 0x31);
-    __m256i aC0 = _mm256_permute2x128_si256(y01, y03, 0x20);
-    __m256i aD0 = _mm256_permute2x128_si256(y01, y03, 0x31);
-    const __m256i y10 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc1 + i));
-    const __m256i y11 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc1 + i + 8));
-    const __m256i y12 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc1 + i + 16));
-    const __m256i y13 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc1 + i + 24));
-    __m256i aA1 = _mm256_permute2x128_si256(y10, y12, 0x20);
-    __m256i aB1 = _mm256_permute2x128_si256(y10, y12, 0x31);
-    __m256i aC1 = _mm256_permute2x128_si256(y11, y13, 0x20);
-    __m256i aD1 = _mm256_permute2x128_si256(y11, y13, 0x31);
-    std::int64_t ic = 0;
-    for (; ic + 4 <= n_ic; ic += 4) {
-      FF_Q_TRANSPOSE4(ic);
-      const __m256i wq0 = _mm256_set1_epi32(qdetail::QuadBits(w0 + ic));
-      const __m256i wq1 = _mm256_set1_epi32(qdetail::QuadBits(w1 + ic));
-      aA0 = _mm256_add_epi32(aA0, QQuadMadd(u0, wq0, ones));
-      aB0 = _mm256_add_epi32(aB0, QQuadMadd(u1, wq0, ones));
-      aC0 = _mm256_add_epi32(aC0, QQuadMadd(u2, wq0, ones));
-      aD0 = _mm256_add_epi32(aD0, QQuadMadd(u3, wq0, ones));
-      aA1 = _mm256_add_epi32(aA1, QQuadMadd(u0, wq1, ones));
-      aB1 = _mm256_add_epi32(aB1, QQuadMadd(u1, wq1, ones));
-      aC1 = _mm256_add_epi32(aC1, QQuadMadd(u2, wq1, ones));
-      aD1 = _mm256_add_epi32(aD1, QQuadMadd(u3, wq1, ones));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc0 + i),
-                        _mm256_permute2x128_si256(aA0, aB0, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc0 + i + 8),
-                        _mm256_permute2x128_si256(aC0, aD0, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc0 + i + 16),
-                        _mm256_permute2x128_si256(aA0, aB0, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc0 + i + 24),
-                        _mm256_permute2x128_si256(aC0, aD0, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc1 + i),
-                        _mm256_permute2x128_si256(aA1, aB1, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc1 + i + 8),
-                        _mm256_permute2x128_si256(aC1, aD1, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc1 + i + 16),
-                        _mm256_permute2x128_si256(aA1, aB1, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc1 + i + 24),
-                        _mm256_permute2x128_si256(aC1, aD1, 0x31));
-    if (ic < n_ic) {
-      for (std::int64_t p = 0; p < 32; ++p) {
-        acc0[i + p] += qdetail::QPwPixel(x, ic, n_ic, w0, i + p);
-        acc1[i + p] += qdetail::QPwPixel(x, ic, n_ic, w1, i + p);
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    acc0[i] += qdetail::QPwPixel(x, 0, n_ic, w0, i);
-    acc1[i] += qdetail::QPwPixel(x, 0, n_ic, w1, i);
-  }
-}
 
 FF_AVX2 void QPwPack(const std::uint8_t* const* x, std::int64_t n_ic,
                      std::uint8_t* out, std::int64_t n) {
@@ -1192,15 +1027,12 @@ FF_AVX2 void QQuant(const float* x, float inv_scale, float zp,
 
 #undef FF_AVX2
 
-// axpy4 is the scalar reference: the AVX2 copy measured under 1.3x faster.
-constexpr OpTable kTable = {Fill,      Axpy,       scalar::Axpy4, AxpyRows,
-                            Axpy4Rows, AxpyRowsS2, PwAcc4,
-                            PwAcc8ByQuads<PwAcc4>,
+constexpr OpTable kTable = {Fill,      AxpyRows,   Axpy4Rows, AxpyRowsS2,
+                            PwAcc4,    PwAcc8ByQuads<PwAcc4>,
                             PwAcc1,    Dot,        Relu,      Relu6,
-                            SadU8,     Sad16x16,   QAxpyRows, QPwAcc1,
-                            QPwAcc2,   QPwPack,    QPwAcc1P,  QPwAcc2P,
-                            QAxpyRowsS2, QDot,     QRequant,  QDequant,
-                            QQuant};
+                            Sad16x16,  QAxpyRows,  QPwPack,   QPwAcc1P,
+                            QPwAcc2P,  QAxpyRowsS2, QDot,     QRequant,
+                            QDequant,  QQuant};
 
 }  // namespace
 }  // namespace avx2
@@ -1433,12 +1265,6 @@ Isa SetActiveIsaForTest(Isa isa) {
   d.table = table;
   d.isa = isa;
   return prev;
-}
-
-std::int64_t ParallelFlopThreshold() {
-  static const std::int64_t threshold =
-      util::EnvInt("FF_PARALLEL_FLOPS", 1 << 17);
-  return threshold;
 }
 
 }  // namespace ff::nn::kernels

@@ -1,8 +1,9 @@
 // Portable SIMD micro-kernel library — the arithmetic core under every hot
-// path: the base DNN's convolutions (axpy/axpy4, the pointwise tiles, the
-// stride-2 row kernel), the MCs' fully-connected heads (dot),
-// activations (relu/relu6), bias broadcast (fill), and the codec's motion
-// search (u8 SAD).
+// path: the base DNN's convolutions (the axpy row kernels, the pointwise
+// tiles, the stride-2 row kernel, and their int8 twins), the MCs'
+// fully-connected heads (dot), activations (relu/relu6), bias broadcast
+// (fill), and the codec's motion search (sad16x16). The table holds only
+// ops some layer or the codec calls.
 //
 // Contract: every kernel has one *reference* implementation (namespace
 // `scalar`) and zero or more SIMD implementations selected at startup by
@@ -14,9 +15,9 @@
 // points at the fallback's function instead of carrying a copy. All
 // implementations of a kernel are BITWISE-IDENTICAL for every input:
 //
-//  * axpy/axpy4/axpy_rows_s2/fill/relu/relu6 are elementwise IEEE single
-//    ops, so lane width cannot change results. The SIMD paths use separate
-//    multiply and add (never FMA), matching the scalar fallback, and
+//  * axpy_rows/axpy4_rows/axpy_rows_s2/fill/relu/relu6 are elementwise IEEE
+//    single ops, so lane width cannot change results. The SIMD paths use
+//    separate multiply and add (never FMA), matching the scalar fallback, and
 //    kernels.cpp is compiled with -ffp-contract=off so the compiler cannot
 //    contract the scalar reference into FMA either (see src/CMakeLists.txt).
 //  * pw_acc1/pw_acc4/pw_acc8 fold each output element over the input
@@ -27,7 +28,7 @@
 //    8 double-precision partial sums by index mod 8, combined as
 //    ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). Scalar and SIMD implement the
 //    same scheme, so the result is bitwise-reproducible across ISAs.
-//  * sad_u8/sad16x16 are integer sums — exact under any association.
+//  * sad16x16 is an integer sum — exact under any association.
 //  * the q* kernels (int8 inference path) are integer except for the
 //    requant/quant/dequant boundaries. Their accumulation rule is pinned by
 //    spec to the AVX2 maddubs+madd sequence: u8*s8 products are summed in
@@ -64,17 +65,12 @@ const char* IsaName(Isa isa);
 struct OpTable {
   // y[i] = v
   void (*fill)(float* y, std::int64_t n, float v);
-  // y[i] += a * x[i]
-  void (*axpy)(float a, const float* x, float* y, std::int64_t n);
-  // yk[i] += w[k] * x[i] for k in 0..3 — the register-blocked row update
-  // used by the KxK conv path: one load of x feeds four output-channel rows.
-  void (*axpy4)(const float* w, const float* x, float* y0, float* y1,
-                float* y2, float* y3, std::int64_t n);
-  // Fused row loops for the KxK and depthwise paths: apply the axpy to
-  // `rows` rows whose x/y bases advance by the given strides. One dispatch
-  // per (channel, tap) instead of one per output row, with the weight
-  // broadcasts hoisted out of the row loop. Row r is bitwise-identical to
-  // axpy(a, x + r*x_stride, y + r*y_stride, n).
+  // Fused row loops for the KxK and depthwise paths over `rows` rows whose
+  // x/y bases advance by the given strides, one dispatch per (channel, tap)
+  // with the weight broadcasts hoisted out of the row loop:
+  // y[r*y_stride + i] += a * x[r*x_stride + i], one mul then one add per
+  // element. axpy4_rows is the register-blocked KxK update: one load of x
+  // feeds four output-channel rows, yk[...] += w[k] * x[...] for k in 0..3.
   void (*axpy_rows)(float a, const float* x, std::int64_t x_stride, float* y,
                     std::int64_t y_stride, std::int64_t rows, std::int64_t n);
   void (*axpy4_rows)(const float* w, const float* x, std::int64_t x_stride,
@@ -113,9 +109,6 @@ struct OpTable {
   void (*relu)(const float* x, float* y, std::int64_t n);
   // y[i] = min(max(x[i], 0), 6)
   void (*relu6)(const float* x, float* y, std::int64_t n);
-  // Sum of absolute differences of two u8 runs.
-  std::uint32_t (*sad_u8)(const std::uint8_t* a, const std::uint8_t* b,
-                          std::int64_t n);
   // SAD of a 16x16 u8 block with independent row strides — the motion
   // search's inner loop, dispatched once per candidate vector.
   std::uint32_t (*sad16x16)(const std::uint8_t* a, std::int64_t stride_a,
@@ -138,16 +131,6 @@ struct OpTable {
                      std::int64_t x_stride, std::int32_t* acc,
                      std::int64_t acc_stride, std::int64_t rows,
                      std::int64_t n);
-  // Pointwise conv: acc[i] += sum_ic w[ic] * x[ic][i] under the pinned
-  // pair-saturation rule (pairs are (2j, 2j+1) over ic). Accumulators stay
-  // in registers across the whole ic loop.
-  void (*qpw_acc1)(const std::uint8_t* const* x, std::int64_t n_ic,
-                   const std::int8_t* w, std::int32_t* acc, std::int64_t n);
-  // Two output channels sharing one activation transpose; row k is
-  // bitwise-identical to qpw_acc1(x, n_ic, wk, acck, n).
-  void (*qpw_acc2)(const std::uint8_t* const* x, std::int64_t n_ic,
-                   const std::int8_t* w0, const std::int8_t* w1,
-                   std::int32_t* acc0, std::int32_t* acc1, std::int64_t n);
   // Packs channel planes into the interleaved channel-quad layout the
   // packed pointwise kernels stream: out[q*4*n + 4*i + j] = x[4q+j][i],
   // zero-filled for the padding channels of a partial final quad (q runs to
@@ -155,11 +138,14 @@ struct OpTable {
   // every ISA; the SIMD versions only do it faster.
   void (*qpw_pack)(const std::uint8_t* const* x, std::int64_t n_ic,
                    std::uint8_t* out, std::int64_t n);
-  // Packed-layout pointwise: bitwise-identical to qpw_acc1/qpw_acc2 on the
-  // same channels, but reading the qpw_pack layout. Packing once per image
-  // removes the per-output-channel byte transpose that dominates qpw_acc2
-  // at trunk-sized planes (a zero-padded pair saturates to the lone
-  // product, so the padded quad is exact under the pinned pair rule).
+  // Pointwise conv on the qpw_pack layout: acc[i] += sum_ic w[ic] * x[ic][i]
+  // under the pinned pair-saturation rule (pairs are (2j, 2j+1) over ic),
+  // accumulators in registers across the whole ic loop. Packing once per
+  // image keeps the byte transpose out of the per-output-channel loop (a
+  // zero-padded pair saturates to the lone product, so the padded quad is
+  // exact under the pinned pair rule). qpw_acc2p is two output channels
+  // sharing each packed load; row k is bitwise-identical to
+  // qpw_acc1p(packed, n_ic, wk, acck, n).
   void (*qpw_acc1p)(const std::uint8_t* packed, std::int64_t n_ic,
                     const std::int8_t* w, std::int32_t* acc, std::int64_t n);
   void (*qpw_acc2p)(const std::uint8_t* packed, std::int64_t n_ic,
@@ -212,6 +198,14 @@ Isa SetActiveIsaForTest(Isa isa);
 // and as the fallback on non-x86 hosts.
 namespace scalar {
 const OpTable& Table();
+
+// Reference only, outside every table: the unpacked int8 pointwise conv,
+// acc[i] += sum_ic w[ic] * x[ic][i] under the pinned pair rule, reading
+// the channel planes directly. No layer calls it; nn_kernels_test checks
+// every ISA's qpw_acc1p/qpw_acc2p against it, an oracle that shares no
+// packing code with them.
+void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
+             const std::int8_t* w, std::int32_t* acc, std::int64_t n);
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -219,13 +213,6 @@ const OpTable& Table();
 // ---------------------------------------------------------------------------
 
 inline void Fill(float* y, std::int64_t n, float v) { Active().fill(y, n, v); }
-inline void Axpy(float a, const float* x, float* y, std::int64_t n) {
-  Active().axpy(a, x, y, n);
-}
-inline void Axpy4(const float* w, const float* x, float* y0, float* y1,
-                  float* y2, float* y3, std::int64_t n) {
-  Active().axpy4(w, x, y0, y1, y2, y3, n);
-}
 inline void AxpyRows(float a, const float* x, std::int64_t x_stride, float* y,
                      std::int64_t y_stride, std::int64_t rows,
                      std::int64_t n) {
@@ -265,10 +252,6 @@ inline void Relu(const float* x, float* y, std::int64_t n) {
 inline void Relu6(const float* x, float* y, std::int64_t n) {
   Active().relu6(x, y, n);
 }
-inline std::uint32_t SadU8(const std::uint8_t* a, const std::uint8_t* b,
-                           std::int64_t n) {
-  return Active().sad_u8(a, b, n);
-}
 inline std::uint32_t Sad16x16(const std::uint8_t* a, std::int64_t stride_a,
                               const std::uint8_t* b, std::int64_t stride_b) {
   return Active().sad16x16(a, stride_a, b, stride_b);
@@ -278,15 +261,6 @@ inline void QAxpyRows(std::int32_t w, const std::uint8_t* x,
                       std::int64_t acc_stride, std::int64_t rows,
                       std::int64_t n) {
   Active().qaxpy_rows(w, x, x_stride, acc, acc_stride, rows, n);
-}
-inline void QPwAcc1(const std::uint8_t* const* x, std::int64_t n_ic,
-                    const std::int8_t* w, std::int32_t* acc, std::int64_t n) {
-  Active().qpw_acc1(x, n_ic, w, acc, n);
-}
-inline void QPwAcc2(const std::uint8_t* const* x, std::int64_t n_ic,
-                    const std::int8_t* w0, const std::int8_t* w1,
-                    std::int32_t* acc0, std::int32_t* acc1, std::int64_t n) {
-  Active().qpw_acc2(x, n_ic, w0, w1, acc0, acc1, n);
 }
 inline void QPwPack(const std::uint8_t* const* x, std::int64_t n_ic,
                     std::uint8_t* out, std::int64_t n) {
@@ -330,12 +304,11 @@ inline void QQuant(const float* x, float inv_scale, float zp, std::uint8_t* y,
 // ---------------------------------------------------------------------------
 
 // Minimum flops before a layer hands work to util::GlobalPool(); below it,
-// the dispatch overhead outweighs the parallelism. Overridable via the
-// FF_PARALLEL_FLOPS env var for multicore benchmarking (read once).
-std::int64_t ParallelFlopThreshold();
+// the dispatch overhead outweighs the parallelism.
+inline constexpr std::int64_t kParallelFlopThreshold = 1 << 17;
 
 inline bool WorthParallel(std::int64_t flops) {
-  return flops > ParallelFlopThreshold();
+  return flops > kParallelFlopThreshold;
 }
 
 // Runs `block(n, c0, c1)` over the flattened (batch × channel) plane index

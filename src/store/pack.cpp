@@ -90,25 +90,13 @@ std::string RecoveryReport::ToString() const {
 }
 
 PackArchive::PackArchive(std::string dir, const PackConfig& config)
-    : PackArchive(std::move(dir), config, /*read_only=*/false) {}
-
-PackArchive::PackArchive(std::string dir, const PackConfig& config,
-                         bool read_only)
-    : dir_(std::move(dir)), config_(config), read_only_(read_only) {
+    : dir_(std::move(dir)), config_(config) {
   FF_CHECK_MSG(!dir_.empty(), "PackArchive requires a directory");
   FF_CHECK_GT(config_.segment_frames, 0);
   OpenDir();
 }
 
-std::unique_ptr<PackArchive> PackArchive::OpenReadOnly(std::string dir) {
-  FF_CHECK_MSG(fs::is_directory(dir),
-               "OpenReadOnly: '" << dir << "' is not a directory");
-  return std::unique_ptr<PackArchive>(
-      new PackArchive(std::move(dir), PackConfig{}, /*read_only=*/true));
-}
-
 PackArchive::~PackArchive() {
-  if (read_only_) return;  // a snapshot never touches the disk
   // Sealing writes the footer so the next open is O(1); a failure here
   // (disk full, fs gone) must not terminate, reopen scans instead.
   try {
@@ -118,7 +106,7 @@ PackArchive::~PackArchive() {
 }
 
 void PackArchive::OpenDir() {
-  if (!read_only_) fs::create_directories(dir_);
+  fs::create_directories(dir_);
 
   std::vector<std::string> paths;
   for (const fs::directory_entry& e : fs::directory_iterator(dir_)) {
@@ -146,12 +134,6 @@ void PackArchive::OpenDir() {
     }
     for (std::size_t i = 0; i < keep_from; ++i) {
       Segment& seg = segments_[i];
-      if (read_only_) {
-        // Snapshot: drop it from the view, leave the file alone.
-        recovery_.notes.push_back("ignored non-contiguous segment " + seg.path);
-        seg.map.Close();
-        continue;
-      }
       recovery_.notes.push_back("dropped non-contiguous segment " + seg.path);
       recovery_.removed_files.push_back(seg.path);
       seg.map.Close();
@@ -172,11 +154,6 @@ void PackArchive::OpenDir() {
 bool PackArchive::LoadSegment(const std::string& path) {
   const std::int64_t size = FileSize(path);
   auto reject = [&](const std::string& why) {
-    if (read_only_) {
-      // Snapshot: never remove or repair — just note what was skipped.
-      recovery_.notes.push_back("skipped segment " + path + ": " + why);
-      return false;
-    }
     recovery_.notes.push_back("removed unrecoverable segment " + path + ": " +
                               why);
     recovery_.removed_files.push_back(path);
@@ -212,9 +189,7 @@ bool PackArchive::LoadSegment(const std::string& path) {
 
   seg.file_bytes = static_cast<std::uint64_t>(size);
   if (!TryLoadFooter(seg, file)) {
-    // Scanning repairs the file (truncate + re-seal); a read-only snapshot
-    // takes only what a footer vouches for and skips the rest.
-    if (read_only_) return reject("no sealed footer");
+    // Scanning repairs the file (truncate + re-seal).
     ScanSegment(seg, file);
     ++recovery_.segments_scanned;
   }
@@ -370,7 +345,6 @@ void PackArchive::ScanSegment(Segment& seg, std::string_view file) {
 }
 
 void PackArchive::SetStreamMeta(const StreamMeta& meta) {
-  FF_CHECK_MSG(!read_only_, "SetStreamMeta on a read-only archive snapshot");
   FF_CHECK_GT(meta.width, 0);
   FF_CHECK_GT(meta.height, 0);
   FF_CHECK_GE(meta.fps, 0);
@@ -389,7 +363,6 @@ void PackArchive::SetStreamMeta(const StreamMeta& meta) {
 
 void PackArchive::Append(std::int64_t frame_index, bool keyframe,
                          std::int64_t ts_ns, std::string_view chunk) {
-  FF_CHECK_MSG(!read_only_, "Append on a read-only archive snapshot");
   FF_CHECK_MSG(has_meta_, "SetStreamMeta must precede the first Append");
   FF_CHECK_GE(frame_index, 0);
   FF_CHECK_GE(ts_ns, 0);

@@ -63,7 +63,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -126,16 +125,6 @@ class PackArchive final : public ArchiveBackend {
   PackArchive(std::string dir, const PackConfig& config);
   ~PackArchive() override;
 
-  // Read-only reopen: a footer-sealed SNAPSHOT of the archive at `dir`.
-  // Loads only segments with a valid footer — a concurrently appending
-  // writer's active segment has no footer yet and is skipped (noted in
-  // recovery(), never an error). NEVER writes: no repair, no removal, no
-  // truncation, and no destructor seal; SetStreamMeta and Append check-fail.
-  // The directory must already exist. Reads stay valid even if the writer
-  // later evicts a mapped segment (the mmap pins the bytes).
-  static std::unique_ptr<PackArchive> OpenReadOnly(std::string dir);
-  bool read_only() const { return read_only_; }
-
   void SetStreamMeta(const StreamMeta& meta) override;
   StreamMeta stream_meta() const override { return meta_; }
   bool has_stream_meta() const override { return has_meta_; }
@@ -164,8 +153,6 @@ class PackArchive final : public ArchiveBackend {
   const std::string& dir() const { return dir_; }
 
  private:
-  PackArchive(std::string dir, const PackConfig& config, bool read_only);
-
   struct Entry {
     std::uint64_t offset = 0;  // record header offset from file start
     std::uint32_t length = 0;  // payload length
@@ -197,7 +184,6 @@ class PackArchive final : public ArchiveBackend {
 
   std::string dir_;
   PackConfig config_;
-  bool read_only_ = false;
   StreamMeta meta_;
   bool has_meta_ = false;
   std::int64_t total_records_ = 0;

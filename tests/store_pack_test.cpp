@@ -589,93 +589,5 @@ TEST(TimeIndex, PackMatchesMemoryForTimeFetch) {
   EXPECT_EQ(a->chunks, b->chunks);
 }
 
-// --- OpenReadOnly: footer-sealed snapshots next to a live writer -----------
-
-std::string PackChunk(std::int64_t i) {
-  return "chunk-" + std::to_string(i) + std::string(64, static_cast<char>(i));
-}
-
-TEST(PackStore, ReadOnlySnapshotSeesSealedSegmentsAndNeverWrites) {
-  TempDir dir("ro_snapshot");
-  store::PackConfig pcfg;
-  pcfg.segment_frames = 4;
-  store::PackArchive writer(dir.str(), pcfg);
-  writer.SetStreamMeta({32, 24, 10, 1});
-  // Two sealed segments (0..3, 4..7) plus an ACTIVE one (8..9, no footer).
-  for (std::int64_t i = 0; i < 10; ++i) {
-    writer.Append(i, true, i * 1'000, PackChunk(i));
-  }
-  writer.Flush();
-  const auto files = SegmentFiles(dir.path);
-  ASSERT_EQ(files.size(), 3u);
-  const std::string active_before = ReadFileBytes(files.back());
-
-  {
-    auto snap = store::PackArchive::OpenReadOnly(dir.str());
-    EXPECT_TRUE(snap->read_only());
-    // Sealed segments only: the writer's active segment has no footer yet,
-    // so it is skipped with a note — not scanned, not repaired, not an
-    // error.
-    EXPECT_EQ(snap->first_available(), 0);
-    EXPECT_EQ(snap->end_available(), 8);
-    EXPECT_EQ(snap->segment_count(), 2);
-    EXPECT_EQ(snap->recovery().segments_scanned, 0);
-    EXPECT_EQ(snap->recovery().dropped_bytes, 0u);
-    EXPECT_TRUE(snap->recovery().removed_files.empty());
-    ASSERT_EQ(snap->recovery().notes.size(), 1u);
-    EXPECT_NE(snap->recovery().notes[0].find("no sealed footer"),
-              std::string::npos);
-    // The snapshot serves the exact appended bytes.
-    EXPECT_TRUE(snap->has_stream_meta());
-    EXPECT_EQ(snap->stream_meta().width, 32);
-    EXPECT_EQ(snap->stream_meta().gop, 1);
-    for (std::int64_t i = 0; i < 8; ++i) {
-      const auto rec = snap->Read(i);
-      ASSERT_TRUE(rec.has_value()) << "frame " << i;
-      EXPECT_EQ(rec->ts_ns, i * 1'000);
-      EXPECT_EQ(std::string(rec->bytes), PackChunk(i));
-    }
-    EXPECT_FALSE(snap->Read(8).has_value());
-    // Mutations check-fail loudly instead of corrupting the live archive.
-    EXPECT_THROW(snap->Append(8, true, 8'000, "x"), util::CheckError);
-    EXPECT_THROW(snap->SetStreamMeta({32, 24, 10, 1}), util::CheckError);
-  }
-
-  // The snapshot (including its destructor) wrote NOTHING: the active
-  // segment's bytes are untouched and the writer appends on unperturbed.
-  EXPECT_EQ(ReadFileBytes(files.back()), active_before);
-  writer.Append(10, true, 10'000, PackChunk(10));
-  EXPECT_EQ(writer.end_available(), 11);
-}
-
-TEST(PackStore, ReadOnlySnapshotOfCleanlySealedArchiveIsComplete) {
-  TempDir dir("ro_sealed");
-  {
-    store::PackConfig pcfg;
-    pcfg.segment_frames = 4;
-    store::PackArchive writer(dir.str(), pcfg);
-    writer.SetStreamMeta({32, 24, 10, 1});
-    for (std::int64_t i = 0; i < 10; ++i) {
-      writer.Append(i, true, i * 1'000, PackChunk(i));
-    }
-  }  // clean shutdown seals the active segment
-  auto snap = store::PackArchive::OpenReadOnly(dir.str());
-  EXPECT_TRUE(snap->recovery().clean());
-  EXPECT_EQ(snap->first_available(), 0);
-  EXPECT_EQ(snap->end_available(), 10);
-  for (std::int64_t i = 0; i < 10; ++i) {
-    const auto rec = snap->Read(i);
-    ASSERT_TRUE(rec.has_value()) << "frame " << i;
-    EXPECT_EQ(std::string(rec->bytes), PackChunk(i));
-  }
-}
-
-TEST(PackStore, ReadOnlyRequiresAnExistingDirectory) {
-  TempDir dir("ro_missing");
-  EXPECT_THROW(
-      store::PackArchive::OpenReadOnly((dir.path / "nope").string()),
-      util::CheckError);
-}
-
 }  // namespace
 }  // namespace ff

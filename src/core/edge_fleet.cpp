@@ -811,38 +811,72 @@ bool EdgeFleet::AnyFrameReady() const {
   return false;
 }
 
-bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
+void EdgeFleet::PullFrames(const std::vector<Pull*>& pulls,
                            std::unique_lock<std::mutex>* io_lock) {
+  if (pulls.empty()) return;
+  // Decode outside the lock, so Push/churn/stats callers are not held up by
+  // it. The pulling flags keep RemoveStream from invalidating a stream (and
+  // the caller's source) mid-call; other streams may be removed meanwhile
+  // (RunTurn re-resolves its members).
+  if (io_lock != nullptr) {
+    for (Pull* p : pulls) p->stream->pulling = true;
+    io_lock->unlock();
+  }
+  const auto pull = [&](std::size_t i) {
+    Pull& p = *pulls[i];
+    try {
+      p.frame = p.source->Next();
+    } catch (...) {
+      p.error = std::current_exception();
+    }
+    if (io_lock == nullptr) return;  // Step(): the caller holds mu_
+    // Release this stream at once, not at the end of the round: a
+    // RemoveStream of it must not wait behind a sibling's blocked Next().
+    const std::lock_guard<std::mutex> lock(mu_);
+    p.stream->pulling = false;
+    if (p.frame) ++in_flight_;
+    idle_cv_.notify_all();
+  };
+  // One task per source; a single pull runs inline.
+  util::GlobalPool().ParallelFor(pulls.size(), pull);
+  if (io_lock != nullptr) {
+    io_lock->lock();
+  } else {
+    for (const Pull* p : pulls) in_flight_ += p->frame ? 1 : 0;
+  }
+}
+
+bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
+                           std::unique_lock<std::mutex>* io_lock,
+                           std::optional<video::Frame>* pulled) {
   video::Frame frame;
-  if (!s.queue.empty()) {
+  if (pulled == nullptr && !s.queue.empty()) {
     // Queued frames passed admission at Push; never re-admit.
     frame = std::move(s.queue.front());
     s.queue.pop_front();
+    ++in_flight_;
   } else {
     for (;;) {
-      if (s.source == nullptr || s.source_done) return false;
       std::optional<video::Frame> next;
-      if (io_lock == nullptr) {
-        next = s.source->Next();
+      if (pulled != nullptr) {
+        next = std::move(*pulled);
+        pulled = nullptr;
       } else {
-        // Decode outside the lock, so Push/churn/stats callers are not held
-        // up by it. The pulling flag keeps RemoveStream from invalidating
-        // the stream (and the caller's source) mid-call; other streams may
-        // be removed meanwhile (RunTurn re-resolves its members).
-        s.pulling = true;
-        video::FrameSource* const src = s.source;
-        io_lock->unlock();
-        try {
-          next = src->Next();
-        } catch (...) {
-          io_lock->lock();
-          s.pulling = false;
-          idle_cv_.notify_all();
-          throw;
+        if (s.source == nullptr || s.source_done) return false;
+        Pull p;
+        p.handle = s.handle;
+        p.stream = &s;
+        p.source = s.source;
+        PullFrames({&p}, io_lock);
+        if (p.error) std::rethrow_exception(p.error);
+        // The pull task released the stream before the lock came back, so
+        // a RemoveStream may have erased it meanwhile (`s` then dangles);
+        // its frame goes with it.
+        if (io_lock != nullptr && FindStream(p.handle) == nullptr) {
+          if (p.frame) --in_flight_;
+          return false;
         }
-        io_lock->lock();
-        s.pulling = false;
-        idle_cv_.notify_all();
+        next = std::move(p.frame);
       }
       if (!next) {
         s.source_done = true;
@@ -859,6 +893,7 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
         // restart, at the queue front (every queued frame is post-admission,
         // so only admitted frames may be restaged).
         if (admitted) s.queue.push_front(std::move(*next));
+        --in_flight_;
         return false;
       }
       if (admitted) {
@@ -868,6 +903,7 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
       // A shed frame vanishes before staging; pull the source again — the
       // decimator keeps every k-th OFFERED frame, so one StageFrame call may
       // consume several source frames under overload.
+      --in_flight_;
     }
   }
   nn::Tensor& staging = batch.bucket->staging;
@@ -1115,8 +1151,8 @@ std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
   const std::size_t nb = buckets_.size();
   for (std::size_t k = 0; k < nb; ++k) {
     Bucket& b = *buckets_[(bucket_rr_ + k) % nb];
-    // Handles, not pointers: StageFrame may drop the lock, and a member
-    // other than the one it is pulling can be removed meanwhile.
+    // Handles, not pointers: the gather may drop the lock, and a member
+    // other than the one being pulled can be removed meanwhile.
     std::vector<StreamHandle> members;
     for (const auto& s : streams_) {
       if (s->bucket == &b) members.push_back(s->handle);
@@ -1127,28 +1163,86 @@ std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
     // whole cycle yields nothing. With >= cap streams ready, each
     // contributes one frame; with fewer, their queues fill the remaining
     // width — the per-stream buffering depth is ~cap / live_streams.
+    //
+    // The attempts run in rounds of the next `width` members in cursor
+    // order, sized so the serial loop would make every one of them (the
+    // batch cannot fill and the misses cannot reach n before the round's
+    // last attempt) and no stream appears twice. Every attempt that needs
+    // its source is pulled concurrently; then, in attempt order, each is
+    // settled exactly as a serial pull would have been, so queue order,
+    // batch order and admission order match a one-at-a-time gather.
     StagedBatch batch;
     batch.bucket = &b;
     const std::size_t n = members.size();
     std::size_t idx = b.rr % n;
     std::size_t misses = 0;  // consecutive streams with nothing ready
+    std::vector<Pull> round;    // the attempts, in cursor order
+    std::size_t unsettled = 0;  // first attempt of `round` not yet settled
+    const auto stopping = [&] { return io_lock != nullptr && pipeline_stop_; };
     try {
       while (static_cast<std::int64_t>(batch.entries.size()) < cap &&
-             misses < n && !(io_lock != nullptr && pipeline_stop_)) {
-        Stream* s = FindStream(members[idx]);
-        idx = (idx + 1) % n;
-        if (s != nullptr && StageFrame(*s, batch, cap, io_lock)) {
-          misses = 0;
-          ++in_flight_;
-        } else {
-          ++misses;
+             misses < n && !stopping()) {
+        const std::size_t width = std::min(
+            static_cast<std::size_t>(cap) - batch.entries.size(), n - misses);
+        round.assign(width, Pull{});
+        unsettled = width;  // nothing pulled yet
+        std::vector<Pull*> pulls;
+        for (Pull& p : round) {
+          p.handle = members[idx];
+          idx = (idx + 1) % n;
+          Stream* s = FindStream(p.handle);
+          if (s != nullptr && s->queue.empty() && s->source != nullptr &&
+              !s->source_done) {
+            p.stream = s;
+            p.source = s->source;
+            pulls.push_back(&p);
+          }
+        }
+        PullFrames(pulls, io_lock);
+        for (std::size_t i = 0; i < width; ++i) {
+          unsettled = i + 1;
+          Pull& p = round[i];
+          if (p.error) std::rethrow_exception(p.error);
+          Stream* s = FindStream(p.handle);
+          const bool was_pulled = p.source != nullptr;
+          bool staged = false;
+          if (s == nullptr) {
+            // Removed while the lock was down: its frame goes with it.
+            if (p.frame) --in_flight_;
+          } else if (was_pulled || !stopping()) {
+            // After a stop, a pulled frame is still settled (StageFrame
+            // restages it); no queued frame is taken and no source pulled.
+            staged = StageFrame(*s, batch, cap, io_lock,
+                                was_pulled ? &p.frame : nullptr);
+          }
+          if (staged) {
+            misses = 0;
+          } else {
+            ++misses;
+          }
         }
       }
     } catch (...) {
       // One stream's source misbehaved (e.g. a mismatched frame): the loud
       // failure must not silently eat a frame of anyone's decision stream.
-      // Reverse batch order restores each queue's front-to-back order;
-      // frames of a stream removed meanwhile are dropped, like its queue.
+      // Frames the round pulled for later attempts go back to their queue
+      // fronts, admitted as a serial pull would have admitted them (a
+      // frame contradicting its stream's geometry is dropped: the first
+      // error in attempt order is the one that surfaces). Then reverse
+      // batch order restores each queue's front-to-back order; frames of a
+      // stream removed meanwhile are dropped, like its queue.
+      for (std::size_t i = unsettled; i < round.size(); ++i) {
+        Pull& p = round[i];
+        Stream* s = FindStream(p.handle);
+        if (s == nullptr || p.source == nullptr || p.error) continue;
+        if (!p.frame) {
+          s->source_done = true;
+        } else if (p.frame->width() == s->width &&
+                   p.frame->height() == s->height &&
+                   AdmitFrame(*s, *p.frame)) {
+          s->queue.push_front(std::move(*p.frame));
+        }
+      }
       in_flight_ = 0;
       for (auto it = batch.entries.rbegin(); it != batch.entries.rend();
            ++it) {

@@ -23,7 +23,9 @@
 //   (A) gather — pick the next bucket (round-robin) with a frame ready and
 //       take frames round-robin across its streams, each from the stream's
 //       bounded Push() queue or its FrameSource, preprocessed into the
-//       bucket's staging tensor;
+//       bucket's staging tensor. The sources of one round (the next
+//       streams in cursor order, each at most once) decode concurrently,
+//       one util::GlobalPool() task per source;
 //   (B) phase 1 — run the shared FeatureExtractor once over the batch;
 //   (C) phase 2 fan-out — one util::GlobalPool() task per (stream, tenant)
 //       pair over the shared maps — then phases 3-5 (K-voting, events,
@@ -32,11 +34,12 @@
 // Both schedules run the same turn (RunTurn). Synchronous Step() runs one
 // turn on the caller, holding the fleet lock throughout; sinks fire on the
 // caller's thread. StartPipeline()/StopPipeline() run turns in a loop on
-// one driver thread, which drops the lock only around FrameSource::Next()
-// and preprocessing (so Push/churn/stats callers are not held up by decode)
-// and parks when no stream has a frame ready. Decode does not overlap
-// B/C: B/C hold the lock, so a decode thread running ahead would only let
-// frames age in a queue (docs/ARCHITECTURE.md has the measurement).
+// one driver thread, which drops the lock only around a round's
+// FrameSource::Next() calls and preprocessing (so Push/churn/stats callers
+// are not held up by decode) and parks when no stream has a frame ready.
+// Decode overlaps other streams' decode, not B/C: B/C hold the lock, so a
+// decode thread running ahead would only let frames age in a queue
+// (docs/ARCHITECTURE.md has the measurements).
 // StopPipeline drains — the batch being gathered is processed before the
 // driver joins, and frames still in Push() queues remain queued for a
 // later Step()/StartPipeline(). In pipelined mode sinks fire on the driver
@@ -106,6 +109,7 @@
 #include <memory>
 #include <mutex>
 #include <condition_variable>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -321,7 +325,8 @@ struct FleetStats {
   std::int64_t frames_processed = 0;
   std::int64_t frames_shed = 0;
   std::int64_t batches = 0;
-  std::int64_t in_flight = 0;  // taken by the driver's gather, not processed
+  // Frames the driver's gather has pulled or staged, not yet processed.
+  std::int64_t in_flight = 0;
   double latency_p50_ms = 0;
   double latency_p95_ms = 0;
   double latency_max_ms = 0;
@@ -560,9 +565,10 @@ class EdgeFleet {
     StreamHandle handle = -1;
     video::FrameSource* source = nullptr;  // null: push-driven
     bool source_done = false;
-    // The pipeline driver is inside this stream's source->Next() right now
-    // (RemoveStream waits on this before the handle — and with it the
-    // caller's source-outlives-stream guarantee — dies).
+    // The pipeline driver's gather round is inside this stream's
+    // source->Next() right now (RemoveStream waits on this before the
+    // handle — and with it the caller's source-outlives-stream guarantee —
+    // dies). Cleared as soon as that call returns, not at the round's end.
     bool pulling = false;
     std::int64_t width = 0, height = 0, fps = 15;
     // Overload controller state (all mutated under mu_ at admission).
@@ -698,19 +704,42 @@ class EdgeFleet {
   // Any live stream with a queued frame or an unexhausted source.
   bool AnyFrameReady() const;
 
-  // Stage A, one frame of a turn's gather: takes the next admitted frame
-  // of `s` — its Push() queue first (queued frames were admitted at Push),
-  // then its source (each frame validated, then admitted; a shed frame is
-  // skipped and the source pulled again) — appends it to `batch` and
+  // One attempt of a gather round: a member stream and, when its source
+  // must be pulled, that FrameSource::Next() call. `stream` stays valid for
+  // the Next() call: Step() holds mu_, and the pipeline driver sets the
+  // stream's pulling flag, which RemoveStream waits out. In the pipeline the
+  // flag drops before the driver has the lock back, so once PullFrames
+  // returns, the stream must be re-resolved from `handle`.
+  struct Pull {
+    StreamHandle handle = -1;
+    Stream* stream = nullptr;
+    video::FrameSource* source = nullptr;  // null: the attempt pulls nothing
+    std::optional<video::Frame> frame;     // nullopt: end of stream
+    std::exception_ptr error;              // what Next() threw, if it did
+  };
+  // Runs every pull's Next(), one util::GlobalPool() task per source (a
+  // single pull runs inline), and counts each frame in in_flight_. Step()
+  // passes no `io_lock` and holds mu_ throughout, so the tasks touch no
+  // fleet state. The pipeline driver passes its lock, dropped for the
+  // round; each task clears its stream's pulling flag under mu_ as soon as
+  // its Next() returns. Errors are stored, not thrown.
+  void PullFrames(const std::vector<Pull*>& pulls,
+                  std::unique_lock<std::mutex>* io_lock);
+  // Stage A, one attempt of a turn's gather: takes the next admitted frame
+  // of `s` — `pulled` when RunTurn's round already pulled one for it, else
+  // its Push() queue first (queued frames were admitted at Push), then its
+  // source — validates and admits a source frame (a shed frame is skipped
+  // and the source pulled again, serially), appends it to `batch` and
   // preprocesses it into the next image of the bucket's staging tensor
   // (grown to `cap` images on the batch's first frame if narrower).
-  // Returns false when `s` has nothing ready. Step() passes no `io_lock`
-  // and holds mu_ throughout; the pipeline driver passes its lock, which is
-  // released around source->Next() and preprocessing — and when
-  // StopPipeline lands during a pull, an admitted frame is restaged at the
-  // queue front instead of staged.
+  // Returns false when `s` has nothing ready, or when it was removed while
+  // the lock was down for a re-pull. The pipeline driver passes its lock,
+  // released around a re-pull and preprocessing; when StopPipeline has
+  // landed, an admitted source frame is restaged at the queue front
+  // instead of staged.
   bool StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
-                  std::unique_lock<std::mutex>* io_lock);
+                  std::unique_lock<std::mutex>* io_lock,
+                  std::optional<video::Frame>* pulled);
   // Stages B + C: bookkeeping, one base-DNN forward over the staged batch,
   // the (stream, tenant) MC fan-out, phases 3-5 per frame in batch order,
   // then the archive appends (after every sink of the batch has fired).
@@ -718,13 +747,17 @@ class EdgeFleet {
   // discarded). Caller must hold mu_.
   std::int64_t ProcessStaged(StagedBatch& batch);
   // One turn of either schedule: picks the next bucket (round-robin) with a
-  // frame ready, gathers up to `cap` frames round-robin across its streams
-  // (StageFrame), and processes the batch (ProcessStaged). A gather that
-  // throws returns what it took to the queue fronts, so an aborted gather
-  // opens no gap in any surviving stream's decision sequence. Returns
-  // frames processed — 0 when no bucket had a frame ready, or when every
-  // frame gathered belonged to a stream removed mid-gather. Caller holds
-  // mu_; `io_lock` as for StageFrame.
+  // frame ready and gathers up to `cap` frames round-robin across its
+  // streams, then processes the batch (ProcessStaged). The gather runs in
+  // rounds: the next members in cursor order, each at most once, have
+  // their sources pulled concurrently (PullFrames), and are then settled
+  // one by one in cursor order (StageFrame), so the batch is the one a
+  // serial gather would take. A gather that throws returns what it took to
+  // the queue fronts, so an aborted gather opens no gap in any surviving
+  // stream's decision sequence. Returns frames processed — 0 when no
+  // bucket had a frame ready, or when every frame gathered belonged to a
+  // stream removed mid-gather. Caller holds mu_; `io_lock` as for
+  // PullFrames.
   std::int64_t RunTurn(std::int64_t cap, std::unique_lock<std::mutex>* io_lock);
 
   // The pipelined schedule's one fleet thread: RunTurn in a loop.
@@ -799,7 +832,7 @@ class EdgeFleet {
   bool pipeline_active_ = false;
   bool pipeline_stop_ = false;
   bool driver_idle_ = false;      // driver parked with no frame ready
-  std::int64_t in_flight_ = 0;    // frames gathered but not yet processed
+  std::int64_t in_flight_ = 0;    // frames pulled or staged, not processed
   std::exception_ptr pipeline_error_;
   std::condition_variable driver_cv_;  // wakes the driver (work/stop)
   std::condition_variable idle_cv_;    // wakes WaitPipelineIdle & waiters

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "util/check.hpp"
 #include "util/env.hpp"
@@ -76,53 +77,55 @@ void ThreadPool::ParallelForRange(
     fn(0, n);
     return;
   }
-  struct Shared {
-    std::atomic<std::size_t> remaining;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::exception_ptr error;
-    std::mutex error_mu;
-  } shared;
   const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
   // Ceil rounding can leave trailing chunks with no work (e.g. n = 9 over 8
   // chunks gives chunk = 2 and only 5 non-empty chunks); dispatch only the
   // live ones rather than queueing no-op tasks on the hot path.
   const std::size_t n_live = (n + chunk - 1) / chunk;
-  // The calling thread runs the last chunk itself, so only n_live - 1 tasks
-  // are submitted to workers.
-  shared.remaining.store(n_live - 1);
-  auto run_chunk = [&](std::size_t begin, std::size_t end) {
-    const ThreadPool* prev = tl_active_pool;
-    tl_active_pool = this;
-    try {
-      fn(begin, end);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(shared.error_mu);
-      if (!shared.error) shared.error = std::current_exception();
-    }
-    tl_active_pool = prev;
+  // Chunks are claimed, not assigned: the caller and n_live - 1 submitted
+  // helpers each take the next unclaimed chunk until none is left. So the
+  // caller never waits on a chunk no thread has started: every worker may
+  // be busy or blocked elsewhere (a fleet gather's pull task inside a
+  // blocking FrameSource::Next(), or waiting for the fleet lock this caller
+  // holds), and the caller then runs the remaining chunks itself. A helper
+  // that starts after every chunk is claimed returns at once; it shares
+  // ownership of the bookkeeping, which therefore outlives this call, and
+  // never touches `fn`.
+  struct Shared {
+    std::atomic<std::size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t done = 0;  // chunks finished, guarded by mu
+    std::exception_ptr error;
   };
-
-  for (std::size_t c = 0; c + 1 < n_live; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    Submit([&, begin, end] {
-      run_chunk(begin, end);
-      // Decrement and notify under the mutex: if the decrement happened
-      // outside, the waiter could observe remaining == 0, return, and
-      // destroy `shared` before this thread touches done_mu/done_cv.
-      {
-        std::lock_guard<std::mutex> lock(shared.done_mu);
-        shared.remaining.fetch_sub(1);
-        shared.done_cv.notify_one();
+  const auto shared = std::make_shared<Shared>();
+  const auto run_chunks = [this, shared, &fn, n, chunk, n_live] {
+    for (;;) {
+      const std::size_t c = shared->next.fetch_add(1);
+      if (c >= n_live) return;
+      const std::size_t begin = c * chunk;
+      const std::size_t end = std::min(n, begin + chunk);
+      const ThreadPool* prev = tl_active_pool;
+      tl_active_pool = this;
+      std::exception_ptr error;
+      try {
+        fn(begin, end);
+      } catch (...) {
+        error = std::current_exception();
       }
-    });
-  }
-  run_chunk((n_live - 1) * chunk, n);
+      tl_active_pool = prev;
+      // Count under the mutex the caller waits on.
+      const std::lock_guard<std::mutex> lock(shared->mu);
+      if (error && !shared->error) shared->error = error;
+      if (++shared->done == n_live) shared->cv.notify_all();
+    }
+  };
+  for (std::size_t c = 0; c + 1 < n_live; ++c) Submit(run_chunks);
+  run_chunks();
 
-  std::unique_lock<std::mutex> lock(shared.done_mu);
-  shared.done_cv.wait(lock, [&] { return shared.remaining.load() == 0; });
-  if (shared.error) std::rethrow_exception(shared.error);
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->cv.wait(lock, [&] { return shared->done == n_live; });
+  if (shared->error) std::rethrow_exception(shared->error);
 }
 
 void ThreadPool::ParallelFor(std::size_t n,

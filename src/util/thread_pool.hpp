@@ -1,7 +1,18 @@
 // A fixed-size thread pool with a blocking ParallelFor. The EdgeFleet's
 // pipeline driver is deliberately NOT a pool worker: it runs for the
 // pipeline's whole lifetime and would permanently eat a worker the conv
-// kernels need.
+// kernels need. The fleet's gather does use the pool: one task per camera
+// source pulled in a round (FrameSource::Next(), i.e. decode), with the
+// thread running the turn taking a share itself. A source whose Next()
+// blocks holds its worker until it returns, and each pull task then takes
+// the fleet lock.
+//
+// Chunks are claimed, not assigned: the caller and the submitted helpers
+// take the next unstarted chunk until none is left, so a ParallelFor never
+// waits on a chunk no thread has started. A caller therefore completes even
+// while every worker is blocked — e.g. RemoveStream draining a windowed MC
+// tail under the fleet lock while the gather's pull tasks wait for that
+// lock.
 //
 // The NN kernels parallelize across output channels / rows through this pool.
 // The pool is created once (see GlobalPool) so convolutions do not pay thread
@@ -41,8 +52,9 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   // Runs fn(i) for i in [0, n). Work is split into contiguous chunks, one per
-  // worker (plus the calling thread). Exceptions from fn propagate to the
-  // caller (first one wins).
+  // worker plus one for the calling thread, each run by whichever thread
+  // claims it first. Exceptions from fn propagate to the caller (first one
+  // wins).
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Runs fn(begin, end) over contiguous ranges — cheaper than per-index

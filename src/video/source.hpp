@@ -18,13 +18,18 @@ class FrameSource {
   virtual ~FrameSource() = default;
   // Next frame, or nullopt at end of stream.
   //
-  // Threading: a source is only ever driven by ONE thread at a time, but
-  // not necessarily the thread that constructed it — core::EdgeFleet's
-  // pipelined schedule calls Next() from its driver thread, with the fleet
-  // lock released so Push/churn callers are not held up by decode.
-  // Implementations therefore need no internal locking, but must not cache
-  // thread-local state across calls. Next() may block (a slow decode stalls
-  // the driver's current batch, not the fleet's callers); the fleet
+  // Threading: Next() is never called twice at once on one source, but
+  // successive calls may come from different threads, none of them
+  // necessarily the one that constructed it. core::EdgeFleet's gather pulls
+  // the sources of one round concurrently, one util::GlobalPool() task per
+  // source (a lone pull runs on the thread running the turn), so Next() may
+  // run on a pool worker at the same time as OTHER streams' sources — with
+  // the fleet lock released in the pipelined schedule, so Push/churn
+  // callers are not held up by decode. Implementations therefore need no
+  // internal locking, but must not cache thread-local state across calls,
+  // and state shared with other sources must be safe for concurrent use.
+  // Next() may block: a slow decode stalls the current batch, not the
+  // fleet's callers, and holds a pool worker while it blocks. The fleet
   // guarantees the source is not destroyed or Reset() mid-call
   // (RemoveStream waits for an in-flight Next() on that stream to return
   // before the handle dies).

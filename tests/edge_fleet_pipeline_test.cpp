@@ -1,4 +1,4 @@
-// Pins the two scheduler properties the staged EdgeFleet redesign added:
+// Pins three scheduler properties of the staged EdgeFleet:
 //
 //  (a) GEOMETRY BUCKETS — a heterogeneous fleet (streams of >= 2 distinct
 //      WxH sharing one extractor) produces per-stream decision/upload byte
@@ -11,13 +11,19 @@
 //      BITWISE-identical to the synchronous Step() schedule, including
 //      under mid-run AddStream/RemoveStream churn (also while the driver is
 //      inside a sibling's Next()), mixed geometries, push-driven streams,
-//      and stop/restart with a synchronous tail.
+//      and stop/restart with a synchronous tail;
+//  (c) CONCURRENT PULLS — under either schedule, the sources of one gather
+//      round decode at the same time, one pool task per source, and churn
+//      still lands while every pull of a round is blocked.
 //
 // This suite runs under the CI ThreadSanitizer leg.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -27,6 +33,8 @@
 
 #include "core/edge_fleet.hpp"
 #include "core/edge_node.hpp"
+#include "util/clock.hpp"
+#include "util/thread_pool.hpp"
 #include "video/dataset.hpp"
 #include "video/fault_source.hpp"
 #include "video/source.hpp"
@@ -82,6 +90,17 @@ void ExpectSameResult(const McResult& a, const McResult& b) {
 template <typename Fn>
 void WaitUntil(Fn&& done) {
   while (!done()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Like WaitUntil, but gives up after `limit`; the caller asserts after.
+template <typename Fn>
+void WaitUntilOrTimeout(Fn&& done,
+                        std::chrono::milliseconds limit =
+                            std::chrono::milliseconds(5000)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -380,6 +399,9 @@ TEST(EdgeFleetPipeline, SiblingRemovedWhileDriverIsInsideNextStaysBitwise) {
       // gathered and not processed.
       EXPECT_EQ(fleet.frames_processed(hr), 6);
       EXPECT_EQ(fleet.frames_processed(hg), kG);
+      // R's frame 6 is pulled in the same round as G's blocked call, on
+      // another thread, and may still be decoding when G blocks.
+      WaitUntilOrTimeout([&] { return fleet.fleet_stats().in_flight == 1; });
       EXPECT_EQ(fleet.fleet_stats().in_flight, 1);
       fleet.RemoveStream(hr);
       sg.Open();
@@ -402,6 +424,251 @@ TEST(EdgeFleetPipeline, SiblingRemovedWhileDriverIsInsideNextStaysBitwise) {
   const auto [sg, sw] = run(/*pipelined=*/false);
   ExpectSameResult(pg, sg);
   ExpectSameResult(pw, sw);
+}
+
+// Two sources that meet inside Next(): every call waits, up to 5 s, until
+// the call after or before it in arrival order (made by the partner
+// source) is inside Next() too. A gather that pulls one source at a time
+// makes the first call time out; from then on no call waits and the
+// meeting is recorded as missed, so the test fails instead of hanging.
+class Rendezvous {
+ public:
+  void Meet() {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (missed_) return;
+    const std::int64_t pair = arrivals_++ / 2;
+    cv_.notify_all();
+    if (!cv_.wait_for(lk, std::chrono::seconds(5),
+                      [&] { return arrivals_ >= 2 * pair + 2 || missed_; }) ||
+        missed_) {
+      missed_ = true;
+      cv_.notify_all();
+    }
+  }
+  bool missed() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return missed_;
+  }
+  std::int64_t arrivals() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return arrivals_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::int64_t arrivals_ = 0;
+  bool missed_ = false;
+};
+
+class MeetingSource : public video::FrameSource {
+ public:
+  MeetingSource(const video::SyntheticDataset& ds, Rendezvous& rv)
+      : src_(ds), rv_(rv) {}
+  std::optional<video::Frame> Next() override {
+    rv_.Meet();
+    return src_.Next();
+  }
+  void Reset() override { src_.Reset(); }
+  std::int64_t width() const override { return src_.width(); }
+  std::int64_t height() const override { return src_.height(); }
+  std::int64_t fps() const override { return src_.fps(); }
+
+ private:
+  video::DatasetSource src_;
+  Rendezvous& rv_;
+};
+
+TEST(EdgeFleetPipeline, SourcesOfOneBucketArePulledConcurrently) {
+  // Two cameras of one geometry: each gather round pulls both sources at
+  // once, on the pool, under either schedule. Every Next() call must meet
+  // its partner's, and the decisions must still match one fleet per
+  // stream bitwise.
+  const std::int64_t kFrames = 6;
+  const video::SyntheticDataset ds0(CamSpec(128, kFrames, 161));
+  const video::SyntheticDataset ds1(CamSpec(128, kFrames, 162));
+  const video::SyntheticDataset* cams[2] = {&ds0, &ds1};
+
+  auto run_pair = [&](bool pipelined) {
+    dnn::FeatureExtractor fx({.include_classifier = false});
+    auto cfg = FleetConfig();
+    cfg.max_batch = 4;
+    EdgeFleet fleet(fx, cfg);
+    Rendezvous rv;
+    MeetingSource s0(ds0, rv), s1(ds1, rv);
+    MeetingSource* sources[2] = {&s0, &s1};
+    std::vector<std::unique_ptr<ResultCollector>> collectors;
+    for (int c = 0; c < 2; ++c) {
+      const StreamHandle h = fleet.AddStream(*sources[c]);
+      McSpec spec{.mc = MakeMc(fx, cams[c]->spec(), "windowed",
+                               910 + static_cast<std::uint64_t>(c))};
+      collectors.push_back(std::make_unique<ResultCollector>());
+      collectors.back()->Bind(spec);
+      fleet.Attach(h, std::move(spec));
+    }
+    if (pipelined) {
+      fleet.RunPipelined();
+    } else {
+      fleet.Run();
+    }
+    EXPECT_FALSE(rv.missed())
+        << (pipelined ? "pipelined" : "Step()")
+        << ": a Next() call ran while its partner source was not pulled";
+    // Each source: kFrames frames plus its end-of-stream call.
+    EXPECT_EQ(rv.arrivals(), 2 * (kFrames + 1));
+    EXPECT_EQ(fleet.frames_processed(), 2 * kFrames);
+    return std::make_pair(collectors[0]->result(), collectors[1]->result());
+  };
+
+  auto run_solo = [&](int c) {
+    dnn::FeatureExtractor fx({.include_classifier = false});
+    auto cfg = FleetConfig();
+    cfg.max_batch = 4;
+    EdgeFleet fleet(fx, cfg);
+    video::DatasetSource src(*cams[c]);
+    const StreamHandle h = fleet.AddStream(src);
+    ResultCollector rc;
+    McSpec spec{.mc = MakeMc(fx, cams[c]->spec(), "windowed",
+                             910 + static_cast<std::uint64_t>(c))};
+    rc.Bind(spec);
+    fleet.Attach(h, std::move(spec));
+    fleet.Run();
+    return rc.result();
+  };
+
+  const auto [sync0, sync1] = run_pair(/*pipelined=*/false);
+  const auto [piped0, piped1] = run_pair(/*pipelined=*/true);
+  const McResult solo0 = run_solo(0), solo1 = run_solo(1);
+  ExpectSameResult(sync0, solo0);
+  ExpectSameResult(sync1, solo1);
+  ExpectSameResult(piped0, solo0);
+  ExpectSameResult(piped1, solo1);
+}
+
+TEST(EdgeFleetPipeline, RemoveStreamDrainsWhileEveryPullIsBlocked) {
+  // One round holds every pool worker and the driver inside a Next() that
+  // blocks at a gate (one gated camera per thread; each camera's third
+  // call blocks). Removing another camera then runs its windowed MC's tail
+  // inference on the pool, under the fleet lock, and must complete before
+  // any gate opens: a ParallelFor that waited for a worker would hold the
+  // lock that each pull task takes once its Next() returns — a deadlock.
+  const std::int64_t kFrames = 6;
+  const std::size_t kCams = util::GlobalPool().size() + 1;
+  // X's frames fit one turn (cap = 2 * kCams) at any pool size.
+  const std::int64_t kFramesX =
+      std::min<std::int64_t>(kFrames, static_cast<std::int64_t>(2 * kCams));
+  std::vector<std::unique_ptr<video::SyntheticDataset>> ds;
+  for (std::size_t c = 0; c < kCams; ++c) {
+    ds.push_back(std::make_unique<video::SyntheticDataset>(
+        CamSpec(128, kFrames, 171 + c)));
+  }
+  const video::SyntheticDataset dsx(CamSpec(160, kFramesX, 169));
+  dnn::FeatureExtractor fx({.include_classifier = false});
+  auto cfg = FleetConfig();
+  cfg.max_batch = static_cast<std::int64_t>(2 * kCams);
+  EdgeFleet fleet(fx, cfg);
+  std::vector<std::unique_ptr<GatedSource>> gated;
+  for (std::size_t c = 0; c < kCams; ++c) {
+    gated.push_back(std::make_unique<GatedSource>(*ds[c], /*gate_from=*/2));
+    const StreamHandle h = fleet.AddStream(*gated.back());
+    fleet.Attach(h, {.mc = MakeMc(fx, ds[c]->spec(), "localized", 860 + c)});
+  }
+  video::DatasetSource sx(dsx);
+  const StreamHandle hx = fleet.AddStream(sx);
+  fleet.Attach(hx, {.mc = MakeMc(fx, dsx.spec(), "windowed", 859)});
+
+  // Turn 1 takes every gated camera's frames 0-1, turn 2 all of X, turn 3
+  // blocks.
+  fleet.StartPipeline();
+  for (auto& g : gated) g->WaitForBlockedCaller();
+  EXPECT_EQ(fleet.frames_processed(hx), kFramesX);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool removed = false;
+  std::thread remover([&] {
+    fleet.RemoveStream(hx);
+    const std::lock_guard<std::mutex> lk(mu);
+    removed = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(30), [&] { return removed; })) {
+      // The remover holds the fleet lock and waits on the pool; opening
+      // the gates would deadlock the pull tasks on that lock, and nothing
+      // can unwind it. End the process rather than hang.
+      ADD_FAILURE() << "RemoveStream waited on pool workers held by pulls";
+      std::fflush(nullptr);
+      std::_Exit(1);
+    }
+  }
+  for (auto& g : gated) g->Open();
+  remover.join();
+  fleet.WaitPipelineIdle();
+  fleet.StopPipeline();
+  fleet.Drain();
+  EXPECT_FALSE(fleet.HasStream(hx));
+  for (std::size_t c = 0; c < kCams; ++c) {
+    EXPECT_EQ(fleet.frames_processed(static_cast<StreamHandle>(c)), kFrames);
+  }
+}
+
+// Stamps every frame of `inner` as captured at time 0, so against a fleet
+// clock far past the SLO every admission breaches.
+class StaleSource : public video::FrameSource {
+ public:
+  explicit StaleSource(video::FrameSource& inner) : inner_(inner) {}
+  std::optional<video::Frame> Next() override {
+    auto f = inner_.Next();
+    if (f) f->capture_ts_ns = 0;
+    return f;
+  }
+  void Reset() override { inner_.Reset(); }
+  std::int64_t width() const override { return inner_.width(); }
+  std::int64_t height() const override { return inner_.height(); }
+  std::int64_t fps() const override { return inner_.fps(); }
+
+ private:
+  video::FrameSource& inner_;
+};
+
+TEST(EdgeFleetPipeline, StreamRemovedWhileRepullingAfterAShedFrame) {
+  // A shed frame makes the gather pull its stream again, serially, with
+  // the fleet lock down (here the re-pull blocks at a gate). A RemoveStream
+  // of that stream waits for the pull, and may take the lock before the
+  // driver has it back; the driver must then drop the pulled frame and not
+  // touch the erased stream. Which thread wins the lock is a race, so the
+  // scenario repeats, with the test thread polling the fleet to contend
+  // for the lock; the sanitizer legs catch a use of the erased stream.
+  const video::SyntheticDataset ds(CamSpec(128, 6, 171));
+  util::FakeClock clock(1'000'000'000'000);
+  dnn::FeatureExtractor fx({.include_classifier = false});
+  EdgeFleetConfig cfg;
+  cfg.enable_upload = false;
+  cfg.clock = &clock;
+  cfg.slo_ms = 1;  // every frame breaches: keep every 2nd, shed frame 0
+  cfg.shed_breach_frames = 1;
+  cfg.max_keep_every = 2;
+  for (int rep = 0; rep < 100; ++rep) {
+    EdgeFleet fleet(fx, cfg);
+    GatedSource gated(ds, /*gate_from=*/1);  // the re-pull after frame 0
+    StaleSource src(gated);
+    const StreamHandle h = fleet.AddStream(src);
+    fleet.StartPipeline();
+    gated.WaitForBlockedCaller();
+    EXPECT_EQ(fleet.fleet_stats().frames_shed, 1);
+    std::thread remover([&] { fleet.RemoveStream(h); });
+    gated.Open();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (fleet.HasStream(h) && std::chrono::steady_clock::now() < deadline) {
+    }
+    remover.join();
+    fleet.WaitPipelineIdle();
+    fleet.StopPipeline();
+    EXPECT_FALSE(fleet.HasStream(h));
+    EXPECT_EQ(fleet.fleet_stats().in_flight, 0);
+  }
 }
 
 TEST(EdgeFleetPipeline, PushDrivenStreamsFlowThroughThePipeline) {
@@ -562,7 +829,7 @@ class LyingSource : public video::FrameSource {
   video::DatasetSpec claimed_;
 };
 
-TEST(EdgeFleetPipeline, PrefetchStageErrorSurfacesAtStop) {
+TEST(EdgeFleetPipeline, GatherErrorSurfacesAtStop) {
   const video::SyntheticDataset ds(CamSpec(128, 4, 97));
   dnn::FeatureExtractor fx({.include_classifier = false});
   auto cfg = FleetConfig();

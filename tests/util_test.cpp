@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -150,6 +153,43 @@ TEST(ThreadPool, ReusableAfterException) {
   std::atomic<int> n{0};
   pool.ParallelFor(10, [&](std::size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 10);
+}
+
+// A ParallelFor must not wait on chunks no worker has started: with every
+// worker blocked until `release`, the caller runs them itself. A caller
+// that only waited would hang until the blocked chunks gave up (5 s).
+TEST(ThreadPool, CallerRunsChunksWhileEveryWorkerIsBlocked) {
+  util::ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int blocked = 0;
+  int gave_up = 0;
+  bool release = false;
+  std::thread occupier([&] {
+    pool.ParallelFor(3, [&](std::size_t) {
+      std::unique_lock<std::mutex> lk(mu);
+      ++blocked;
+      cv.notify_all();
+      if (!cv.wait_for(lk, std::chrono::seconds(5), [&] { return release; })) {
+        ++gave_up;
+      }
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(5),
+                            [&] { return blocked == 3; }));
+  }
+  std::atomic<int> n{0};
+  pool.ParallelFor(8, [&](std::size_t) { n.fetch_add(1); });
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  occupier.join();
+  EXPECT_EQ(n.load(), 8);
+  EXPECT_EQ(gave_up, 0);
 }
 
 TEST(RunningStat, MeanVarianceMinMax) {

@@ -54,9 +54,12 @@ class FeatureExtractor {
   // returns the requested activations, each with the same leading batch
   // dimension. Every image is computed exactly as a batch-1 call would
   // (bitwise: image n of a batched tap equals Extract on frame n alone —
-  // pinned by edge_batch_test), but the conv kernels parallelize across
-  // n × out_c instead of out_c alone, which is what keeps a thread pool fed
-  // on multicore (ROADMAP: frame batching).
+  // pinned by edge_batch_test, float and int8). With T = the pool's workers
+  // plus the caller, a batch of N >= T frames runs image-parallel: T pool
+  // chunks each take whole images through every layer, their kernels
+  // inline, with no barrier between layers. The N mod T remaining frames,
+  // and any batch smaller than T, run layer by layer with the kernels split
+  // across n × out_c (nn::ForEachImageSplit; ROADMAP: frame batching).
   //
   // Taking a view (owning Tensors convert implicitly) is what lets the
   // EdgeFleet's geometry buckets reuse one staging tensor per bucket across

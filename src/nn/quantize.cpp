@@ -62,11 +62,10 @@ QTensor QuantizeInput(const TensorView& in, const ActQuant& q) {
   return out;
 }
 
-Tensor Dequantize(const QTensor& in, const ActQuant& q) {
-  Tensor out(in.shape);
-  kernels::QDequant(in.data.data(), q.scale, q.zero_point, out.data(),
+// Dequantizes every element of `in` into `out`, which has room for them.
+void DequantizeInto(const QTensor& in, const ActQuant& q, float* out) {
+  kernels::QDequant(in.data.data(), q.scale, q.zero_point, out,
                     in.shape.elements());
-  return out;
 }
 
 // Copies the input planes of image `n` into a zero-point-padded buffer of
@@ -372,7 +371,10 @@ Tensor QuantizedProgram::Forward(const TensorView& in) const {
     cur = RunOp(op, cur, *cur_q);
     cur_q = &op.out_q;
   }
-  return Dequantize(cur, *cur_q);
+  Tensor out;
+  out.Reset(cur.shape);
+  DequantizeInto(cur, *cur_q, out.data());
+  return out;
 }
 
 std::map<std::string, Tensor> QuantizedProgram::ForwardWithTaps(
@@ -390,16 +392,27 @@ std::map<std::string, Tensor> QuantizedProgram::ForwardWithTaps(
     }
     FF_CHECK_MSG(found, "tap " << t << " not covered by quantized program");
   }
+  // Each tap is allocated for the whole batch once; every run of the image
+  // split dequantizes its images straight into it.
   std::map<std::string, Tensor> out;
-  QTensor cur = QuantizeInput(in, in_q_);
-  const ActQuant* cur_q = &in_q_;
+  Shape s = in.shape();
   for (std::size_t i = 0; i <= deepest; ++i) {
-    cur = RunOp(ops_[i], cur, *cur_q);
-    cur_q = &ops_[i].out_q;
-    if (taps.count(ops_[i].name) > 0) {
-      out.emplace(ops_[i].name, Dequantize(cur, *cur_q));
-    }
+    s = OpOutputShape(ops_[i], s);
+    if (taps.count(ops_[i].name) > 0) out[ops_[i].name].Reset(s);
   }
+  ForEachImageSplit(in.shape().n, [&](std::size_t, std::int64_t b,
+                                      std::int64_t e) {
+    QTensor cur = QuantizeInput(in.Images(b, e), in_q_);
+    const ActQuant* cur_q = &in_q_;
+    for (std::size_t i = 0; i <= deepest; ++i) {
+      cur = RunOp(ops_[i], cur, *cur_q);
+      cur_q = &ops_[i].out_q;
+      const auto tap = out.find(ops_[i].name);
+      if (tap != out.end()) {
+        DequantizeInto(cur, *cur_q, tap->second.plane(b, 0));
+      }
+    }
+  });
   return out;
 }
 

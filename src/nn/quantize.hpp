@@ -91,7 +91,8 @@ class QuantizedProgram {
   Tensor Forward(const TensorView& in) const;
 
   // Mirrors Sequential::ForwardWithTaps: runs up to the deepest requested
-  // tap and dequantizes each tapped activation. Every tap must be covered.
+  // tap and dequantizes each tapped activation, splitting the batch by
+  // image the same way (ForEachImageSplit). Every tap must be covered.
   std::map<std::string, Tensor> ForwardWithTaps(
       const TensorView& in, const std::set<std::string>& taps) const;
 

@@ -1,8 +1,57 @@
 #include "nn/sequential.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "nn/activations.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ff::nn {
+
+namespace {
+
+// Holds a network's busy flag for one forward entry point.
+class BusyGuard {
+ public:
+  BusyGuard(std::atomic<bool>& busy, const std::string& net) : busy_(busy) {
+    FF_CHECK_MSG(!busy_.exchange(true),
+                 net << ": concurrent forward on one network");
+  }
+  ~BusyGuard() { busy_.store(false); }
+  BusyGuard(const BusyGuard&) = delete;
+  BusyGuard& operator=(const BusyGuard&) = delete;
+
+ private:
+  std::atomic<bool>& busy_;
+};
+
+// Copies every image of `src` into `dst` from image n0 on.
+void CopyImages(const Tensor& src, Tensor& dst, std::int64_t n0) {
+  const Shape& s = src.shape();
+  const Shape& d = dst.shape();
+  FF_CHECK(s.c == d.c && s.h == d.h && s.w == d.w && n0 + s.n <= d.n);
+  std::memcpy(dst.plane(n0, 0), src.data(),
+              static_cast<std::size_t>(src.elements()) * sizeof(float));
+}
+
+}  // namespace
+
+std::size_t ImageSplitWidth() { return util::GlobalPool().size() + 1; }
+
+void ForEachImageSplit(
+    std::int64_t n,
+    const std::function<void(std::size_t, std::int64_t, std::int64_t)>& run) {
+  const std::size_t width = ImageSplitWidth();
+  const std::int64_t per = n / static_cast<std::int64_t>(width);
+  const std::int64_t split = per * static_cast<std::int64_t>(width);
+  if (per > 0) {
+    util::GlobalPool().ParallelFor(width, [&](std::size_t slot) {
+      const std::int64_t first = static_cast<std::int64_t>(slot) * per;
+      for (std::int64_t i = first; i < first + per; ++i) run(slot, i, i + 1);
+    });
+  }
+  if (split < n) run(0, split, n);
+}
 
 std::optional<LayerGroup> GroupAt(const Sequential& net, std::size_t i) {
   if (dynamic_cast<const ComputeLayer*>(&net.layer(i)) == nullptr) {
@@ -38,40 +87,47 @@ bool Sequential::Contains(const std::string& layer_name) const {
 }
 
 Tensor Sequential::Forward(const TensorView& in) {
-  FF_CHECK(!layers_.empty());
-  return Run(in, 0, layers_.size(), {}, nullptr);
+  return ForwardRange(in, 0, layers_.size());
 }
 
 Tensor Sequential::ForwardTo(const TensorView& in, const std::string& last_layer) {
-  return Run(in, 0, IndexOf(last_layer) + 1, {}, nullptr);
+  return ForwardRange(in, 0, IndexOf(last_layer) + 1);
 }
 
 Tensor Sequential::ForwardRange(const TensorView& in, std::size_t begin,
                                 std::size_t end) {
-  return Run(in, begin, end, {}, nullptr);
+  FF_CHECK(begin < end && end <= layers_.size());
+  const BusyGuard busy(scratch_->busy, name_);
+  return Run(in, begin, end, {}, nullptr, 0, scratch_->slots[0]);
 }
 
 std::map<std::string, Tensor> Sequential::ForwardWithTaps(
     const TensorView& in, const std::set<std::string>& taps) {
   FF_CHECK(!taps.empty());
-  std::size_t deepest = 0;
-  for (const auto& t : taps) deepest = std::max(deepest, IndexOf(t));
+  std::size_t end = 0;
+  for (const auto& t : taps) end = std::max(end, IndexOf(t) + 1);
+  const BusyGuard busy(scratch_->busy, name_);
   std::map<std::string, Tensor> out;
-  Run(in, 0, deepest + 1, taps, &out);
+  for (const auto& t : taps) out[t].Reset(OutputShapeAt(in.shape(), t));
+  const auto run = [&](std::size_t slot, std::int64_t b, std::int64_t e) {
+    Run(in.Images(b, e), 0, end, taps, &out, b, scratch_->slots[slot]);
+  };
+  // A layer in training mode saves context that must cover the whole batch.
+  const auto last = layers_.begin() + static_cast<std::ptrdiff_t>(end);
+  if (std::any_of(layers_.begin(), last,
+                  [](const LayerPtr& l) { return l->training(); })) {
+    run(0, 0, in.shape().n);
+  } else {
+    scratch_->slots.resize(ImageSplitWidth());
+    ForEachImageSplit(in.shape().n, run);
+  }
   return out;
 }
 
 Tensor Sequential::Run(const TensorView& in, std::size_t begin,
                        std::size_t end, const std::set<std::string>& taps,
-                       std::map<std::string, Tensor>* tapped) {
-  FF_CHECK(begin < end && end <= layers_.size());
-  FF_CHECK_MSG(!scratch_->busy.exchange(true),
-               name_ << ": concurrent forward on one network");
-  struct Release {
-    std::atomic<bool>& busy;
-    ~Release() { busy.store(false); }
-  } release{scratch_->busy};
-
+                       std::map<std::string, Tensor>* tapped, std::int64_t n0,
+                       BufPair& bufs) {
   TensorView x = in;
   Tensor held;    // owns x when the previous output is not a buffer or tap
   int x_buf = -1;  // the recycled buffer x views, or -1
@@ -86,27 +142,28 @@ Tensor Sequential::Run(const TensorView& in, std::size_t begin,
     const FusedAct act = fuse ? g->act : FusedAct::kNone;
     const std::size_t next = fuse ? g->end : i + 1;
     const std::string& out_name = layers_[next - 1]->name();
-    const bool tap = taps.count(out_name) > 0;
-    if (into && !tap && next < end) {
-      const int b = x_buf == 0 ? 1 : 0;
-      static_cast<ComputeLayer&>(l).ForwardInto(x, scratch_->bufs[b], act);
-      x = scratch_->bufs[b];
-      x_buf = b;
-    } else {
-      Tensor y;
-      if (into) {
-        static_cast<ComputeLayer&>(l).ForwardInto(x, y, act);
-      } else {
-        y = l.Forward(x);
-      }
-      if (tap) {
-        x = tapped->insert_or_assign(out_name, std::move(y)).first->second;
-      } else {
-        held = std::move(y);
-        x = held;
-      }
-      x_buf = -1;
+    Tensor* tap = taps.count(out_name) > 0 ? &tapped->at(out_name) : nullptr;
+    const bool in_place = tap != nullptr && tap->shape().n == in.shape().n;
+    const int b = x_buf == 0 ? 1 : 0;
+    Tensor y;
+    Tensor* dst = &y;
+    if (in_place) {
+      dst = tap;
+    } else if (into && (tap != nullptr || next < end)) {
+      dst = &bufs[static_cast<std::size_t>(b)];
     }
+    if (into) {
+      static_cast<ComputeLayer&>(l).ForwardInto(x, *dst, act);
+    } else {
+      *dst = l.Forward(x);
+    }
+    if (tap != nullptr && !in_place) CopyImages(*dst, *tap, n0);
+    if (dst == &y) {
+      held = std::move(y);
+      dst = &held;
+    }
+    x = *dst;
+    x_buf = dst == &bufs[static_cast<std::size_t>(b)] ? b : -1;
     i = next;
   }
   return held;

@@ -14,9 +14,17 @@
 // hand-chained forward would. The recycled buffers make one network
 // non-reentrant: a second forward entered while one is running fails with
 // CheckError.
+//
+// ForwardWithTaps (the feature extractor's trunk forward) runs a batch
+// image-parallel when it is wide enough (ForEachImageSplit below): each pool
+// chunk walks whole images through every layer with its own recycled buffer
+// pair and copies its images' taps into the batch's tap tensors. The weights
+// are shared, and the busy flag covers the whole call.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -60,7 +68,10 @@ class Sequential {
   Tensor ForwardRange(const TensorView& in, std::size_t begin, std::size_t end);
 
   // Forward collecting the outputs of every layer named in `taps`, stopping
-  // at the deepest one. Returns the map tap-name -> activation.
+  // at the deepest one. Returns the map tap-name -> activation. In inference
+  // mode the batch is split by image (ForEachImageSplit); a layer in
+  // training mode keeps the whole batch on the calling thread, since its
+  // saved context must cover every image.
   std::map<std::string, Tensor> ForwardWithTaps(const TensorView& in,
                                                 const std::set<std::string>& taps);
 
@@ -92,17 +103,24 @@ class Sequential {
   std::int64_t ParamCount() const;
 
  private:
+  using BufPair = std::array<Tensor, 2>;
+
   // The walk behind every forward entry point: runs layers [begin, end) on
-  // `in`, moving each output named in `taps` into `tapped`, and returns the
-  // final output unless that is itself a tap.
+  // `in` through the recycled buffer pair `bufs` and returns the final
+  // output unless that is itself a tap. Each output named in `taps` lands in
+  // the preallocated (*tapped)[name] from image n0 on: computed there
+  // directly when `in` is that tensor's whole batch, else computed in `bufs`
+  // and copied in. Callers hold the busy flag.
   Tensor Run(const TensorView& in, std::size_t begin, std::size_t end,
              const std::set<std::string>& taps,
-             std::map<std::string, Tensor>* tapped);
+             std::map<std::string, Tensor>* tapped, std::int64_t n0,
+             BufPair& bufs);
 
   // The recycled activation buffers and the flag that rejects a concurrent
-  // forward; heap-held so the network stays movable.
+  // forward; heap-held so the network stays movable. There is one buffer
+  // pair per image-split slot; slot 0 also serves every whole-batch walk.
   struct Scratch {
-    Tensor bufs[2];
+    std::vector<BufPair> slots = std::vector<BufPair>(1);
     std::atomic<bool> busy{false};
   };
 
@@ -125,5 +143,22 @@ struct LayerGroup {
 // The group starting at layer `i`; nullopt when layer `i` is not a
 // ComputeLayer.
 std::optional<LayerGroup> GroupAt(const Sequential& net, std::size_t i);
+
+// The image split shared by Sequential::ForwardWithTaps and
+// QuantizedProgram::ForwardWithTaps. With T = ImageSplitWidth() (one slot
+// per pool worker plus the caller), a batch of n >= T images runs its
+// largest multiple of T as T pool chunks: chunk `slot` calls
+// run(slot, i, i + 1) for each of its images, and every kernel inside runs
+// inline on that chunk's thread (the pool's nested-call rule). The other
+// n mod T images, or the whole batch when n < T, then run as one
+// run(0, begin, n) on the calling thread, whose kernels split
+// images × out_c across the pool. A caller keeping per-slot state sizes it
+// to ImageSplitWidth() first. Each image is computed exactly as a batch-1
+// forward computes it, so the split never changes a bit.
+std::size_t ImageSplitWidth();
+void ForEachImageSplit(
+    std::int64_t n,
+    const std::function<void(std::size_t slot, std::int64_t begin,
+                             std::int64_t end)>& run);
 
 }  // namespace ff::nn

@@ -14,17 +14,22 @@ TensorView::TensorView(const Tensor& t)
 TensorView TensorView::Image(std::int64_t n) const {
   FF_CHECK_MSG(n >= 0 && n < shape_.n,
                "image " << n << " out of range for " << shape_);
-  TensorView v = *this;
-  v.base_ = base_ + n * sn_;
-  v.shape_.n = 1;
-  return v;
+  return Images(n, n + 1);
 }
 
 TensorView TensorView::Prefix(std::int64_t n) const {
   FF_CHECK_MSG(n >= 1 && n <= shape_.n,
                "prefix of " << n << " images out of range for " << shape_);
+  return Images(0, n);
+}
+
+TensorView TensorView::Images(std::int64_t begin, std::int64_t end) const {
+  FF_CHECK_MSG(begin >= 0 && begin < end && end <= shape_.n,
+               "images [" << begin << ", " << end << ") out of range for "
+                          << shape_);
   TensorView v = *this;
-  v.shape_.n = n;
+  v.base_ = base_ + begin * sn_;
+  v.shape_.n = end - begin;
   return v;
 }
 

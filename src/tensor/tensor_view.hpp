@@ -38,6 +38,11 @@ class TensorView {
   // reallocates the staging storage.
   TensorView Prefix(std::int64_t n) const;
 
+  // Batch images [begin, end) as an (end - begin, C, H, W) view. The
+  // image-parallel trunk forward (nn::ForEachImageSplit) hands each pool
+  // chunk its images through this.
+  TensorView Images(std::int64_t begin, std::int64_t end) const;
+
   const Shape& shape() const { return shape_; }
   std::int64_t elements() const { return shape_.elements(); }
   bool empty() const { return base_ == nullptr || shape_.elements() == 0; }

@@ -14,18 +14,22 @@
 // tail under the fleet lock while the gather's pull tasks wait for that
 // lock.
 //
-// The NN kernels parallelize across output channels / rows through this pool.
-// The pool is created once (see GlobalPool) so convolutions do not pay thread
-// creation per call. ParallelFor is synchronous: it returns only when every
-// index has been processed, which keeps layer semantics simple.
+// The NN kernels parallelize through this pool at two grains. A trunk batch
+// of at least size() + 1 images runs one chunk per image group, each taking
+// whole images through every layer (nn::ForEachImageSplit); smaller batches,
+// the rest of a split batch and MC forwards split each layer across
+// images × output channels. The pool is created once (see GlobalPool) so
+// convolutions do not pay thread creation per call. ParallelFor is
+// synchronous: it returns only when every index has been processed, which
+// keeps layer semantics simple.
 //
 // Nested dispatch runs serial: a ParallelFor issued from inside a chunk of a
 // ParallelFor on the same pool executes its body inline on the calling
-// thread. This makes layered parallelism compose safely — the edge node fans
-// out per-tenant microclassifier inference across the pool, and the conv
-// kernels inside each tenant (which would otherwise submit to the same,
-// fully-occupied pool and deadlock waiting on their own sub-tasks)
-// automatically degrade to their serial paths.
+// thread. This makes layered parallelism compose safely — the trunk's image
+// chunks and the edge node's per-tenant microclassifier fan-out both run
+// conv kernels inside a chunk, and those kernels (which would otherwise
+// submit to the same, fully-occupied pool and deadlock waiting on their own
+// sub-tasks) automatically degrade to their serial paths.
 #pragma once
 
 #include <condition_variable>

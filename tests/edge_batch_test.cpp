@@ -46,6 +46,63 @@ TEST(ExtractBatch, MatchesSingleFrameCallsBitwise) {
   }
 }
 
+// The trunk's image split (nn::ForEachImageSplit): with T = the pool width,
+// a batch of N >= T frames runs T pool chunks of whole images and the
+// N mod T rest with the images × out_c layer split. On both sides of each
+// boundary, every image of every tap must equal a batch-1 Extract bitwise.
+// Both taps matter: conv2_1/sep is copied out mid-walk, conv3_2/sep ends it.
+class ExtractSplitTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::int64_t kH = 64, kW = 96;
+
+  static std::vector<std::int64_t> BatchSizes() {
+    const auto t = static_cast<std::int64_t>(nn::ImageSplitWidth());
+    return {1, t - 1, t, t + 1, 2 * t + 1};
+  }
+
+  static nn::Tensor Frames(std::int64_t n) {
+    nn::Tensor frames(nn::Shape{n, 3, kH, kW});
+    util::Pcg32 rng(11);
+    frames.FillUniform(rng, -1.0f, 1.0f);
+    return frames;
+  }
+};
+
+TEST_P(ExtractSplitTest, BatchedMatchesFrameAtATimeAroundPoolWidth) {
+  const bool quantize = GetParam();
+  dnn::FeatureExtractor fx(dnn::FeatureExtractorConfig{
+      .model = {.include_classifier = false}, .quantize = quantize});
+  fx.RequestTap("conv2_1/sep");
+  fx.RequestTap("conv3_2/sep");
+  const std::vector<std::int64_t> sizes = BatchSizes();
+  const nn::Tensor frames = Frames(sizes.back());
+  // One int8 program for every call, calibrated before any of them.
+  if (quantize) fx.CalibrateQuantized(frames);
+
+  std::vector<dnn::FeatureMaps> single;
+  for (std::int64_t n = 0; n < sizes.back(); ++n) {
+    single.push_back(fx.Extract(frames.Slice(n)));
+  }
+  for (const std::int64_t batch : sizes) {
+    const dnn::FeatureMaps batched =
+        fx.Extract(tensor::TensorView(frames).Prefix(batch));
+    ASSERT_EQ(batched.size(), 2u);
+    for (std::int64_t n = 0; n < batch; ++n) {
+      for (const auto& [tap, act] : single[static_cast<std::size_t>(n)]) {
+        ASSERT_EQ(batched.at(tap).shape().n, batch);
+        ExpectBitwiseEqual(batched.at(tap).Slice(n), act,
+                           "batch " + std::to_string(batch) + " tap " + tap +
+                               " image " + std::to_string(n));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FloatAndInt8, ExtractSplitTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Int8" : "Float";
+                         });
+
 TEST(ExtractBatch, PreprocessIntoMatchesPreprocess) {
   const auto ds = video::SyntheticDataset(video::JacksonSpec(96, 4, 5));
   nn::Tensor batch(nn::Shape{3, 3, ds.spec().height, ds.spec().width});

@@ -4,6 +4,7 @@
 // formulas, serialization.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
@@ -431,6 +432,79 @@ TEST(Sequential, ConcurrentForwardOnOneNetworkFails) {
   EXPECT_EQ(first.shape(), (Shape{1, 2, 4, 4}));
   // Once the first forward has returned the network runs again.
   EXPECT_NO_THROW((void)net.Forward(in));
+}
+
+// A ParkingLayer that also records the widest batch any call handed it.
+class WidthRecordingParkingLayer : public ParkingLayer {
+ public:
+  Tensor Forward(const TensorView& in) override {
+    std::int64_t seen = widest_.load();
+    while (seen < in.shape().n &&
+           !widest_.compare_exchange_weak(seen, in.shape().n)) {
+    }
+    return ParkingLayer::Forward(in);
+  }
+  std::int64_t widest() const { return widest_.load(); }
+
+ private:
+  std::atomic<std::int64_t> widest_{0};
+};
+
+// The image split runs pool chunks of one image each; the busy flag covers
+// the whole call, so a second caller is refused while a chunk is parked.
+TEST(Sequential, SplitForwardRefusesASecondCaller) {
+  Sequential net("t");
+  auto& park = static_cast<WidthRecordingParkingLayer&>(
+      net.Add(std::make_unique<WidthRecordingParkingLayer>()));
+  net.Add(std::make_unique<Conv2D>("c", 1, 2, 1, 1, Padding::kSameCeil));
+  HeInit(net, 5);
+  util::Pcg32 rng(5);
+  const auto n = static_cast<std::int64_t>(ImageSplitWidth());
+  Tensor in(Shape{n, 1, 4, 4});
+  in.FillNormal(rng, 1.0f);
+
+  std::map<std::string, Tensor> first;
+  std::thread holder([&] { first = net.ForwardWithTaps(in, {"c"}); });
+  park.WaitParked();
+  int rejected = 0;
+  std::thread second([&] {
+    try {
+      (void)net.ForwardWithTaps(in, {"c"});
+    } catch (const util::CheckError&) {
+      ++rejected;
+    }
+    try {
+      (void)net.Forward(in);
+    } catch (const util::CheckError&) {
+      ++rejected;
+    }
+  });
+  second.join();
+  park.Release();
+  holder.join();
+  EXPECT_EQ(rejected, 2);
+  EXPECT_EQ(park.widest(), 1);
+  for (std::int64_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(BitwiseEqual(first.at("c").Slice(i), net.Forward(in.Slice(i))))
+        << "image " << i;
+  }
+}
+
+// A layer in training mode keeps the whole batch on the calling thread: its
+// saved input must cover every image for Backward.
+TEST(Sequential, TrainingForwardWithTapsKeepsTheWholeBatch) {
+  Sequential net("t");
+  net.Add(std::make_unique<Conv2D>("c", 1, 2, 3, 1, Padding::kSameCeil));
+  net.Add(MakeRelu("r"));
+  HeInit(net, 6);
+  net.SetTraining(true);
+  util::Pcg32 rng(6);
+  const auto n = static_cast<std::int64_t>(ImageSplitWidth()) + 1;
+  Tensor in(Shape{n, 1, 6, 6});
+  in.FillNormal(rng, 1.0f);
+  const auto taps = net.ForwardWithTaps(in, {"r"});
+  const Tensor dx = net.Backward(Tensor(taps.at("r").shape(), 1.0f));
+  EXPECT_EQ(dx.shape(), in.shape());
 }
 
 TEST(Sequential, DuplicateNamesRejected) {

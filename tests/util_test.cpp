@@ -192,6 +192,33 @@ TEST(ThreadPool, CallerRunsChunksWhileEveryWorkerIsBlocked) {
   EXPECT_EQ(gave_up, 0);
 }
 
+// A ParallelForRange issued from inside a chunk of the same pool runs its
+// whole range inline, in one call on that chunk's thread. The trunk's image
+// split relies on this: each chunk's layer kernels run serially inside it.
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  util::ThreadPool pool(3);
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 64;
+  struct Seen {
+    std::thread::id outer;
+    std::vector<std::thread::id> inner;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  };
+  std::vector<Seen> seen(kOuter);
+  pool.ParallelFor(kOuter, [&](std::size_t c) {
+    seen[c].outer = std::this_thread::get_id();
+    pool.ParallelForRange(kInner, [&](std::size_t b, std::size_t e) {
+      seen[c].inner.push_back(std::this_thread::get_id());
+      seen[c].ranges.emplace_back(b, e);
+    });
+  });
+  for (std::size_t c = 0; c < kOuter; ++c) {
+    ASSERT_EQ(seen[c].ranges.size(), 1u) << "chunk " << c;
+    EXPECT_EQ(seen[c].ranges[0], std::make_pair(std::size_t{0}, kInner));
+    EXPECT_EQ(seen[c].inner[0], seen[c].outer) << "chunk " << c;
+  }
+}
+
 TEST(RunningStat, MeanVarianceMinMax) {
   util::RunningStat s;
   for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);

@@ -3,7 +3,8 @@
 // and reused by subsequent windows, eliminating redundant computation").
 //
 // Measures per-frame inference time and analytic multiply-adds with the
-// optimization on and off, verifying outputs stay identical.
+// optimization on and off, verifying outputs stay identical: the exit status
+// is non-zero when any output differs by more than kMaxOutputDiff.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -12,6 +13,11 @@
 
 using namespace ff;
 using bench::BenchParams;
+
+namespace {
+// The tolerance core_mc_test's WindowedMc.BufferReuseMatchesRecompute asserts.
+constexpr double kMaxOutputDiff = 1e-5;
+}  // namespace
 
 int main(int argc, char** argv) {
   BenchParams bp;
@@ -82,5 +88,10 @@ int main(int argc, char** argv) {
                static_cast<double>(with_reuse.MarginalMacsPerFrame()));
   json.Set("max_output_diff", max_diff);
   json.Write();
+  if (max_diff > kMaxOutputDiff) {
+    std::fprintf(stderr, "FAIL: max output difference %.2e exceeds %.0e\n",
+                 max_diff, kMaxOutputDiff);
+    return 1;
+  }
   return 0;
 }

@@ -69,9 +69,6 @@ double MeasureFilterForward(const std::string& arch,
   cfg.frame_height = ds.spec().height;
   cfg.fps = ds.spec().fps;
   cfg.enable_upload = false;  // measure pure filtering, like the paper
-  // Phase 2 fans MC inference out across the thread pool; set
-  // FF_BENCH_MC_PARALLEL=0 to measure the single-threaded MC phase instead.
-  cfg.parallel_mcs = util::EnvInt("FF_BENCH_MC_PARALLEL", 1) != 0;
   core::EdgeNode node(fx, cfg);
   const std::string tap = arch == "full_frame"
                               ? bench::LateTapForScale(ds.spec().width)

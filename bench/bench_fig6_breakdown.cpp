@@ -5,12 +5,16 @@
 // Paper shapes: the base DNN dominates at low classifier counts; total time
 // grows only modestly with dozens of MCs; the base DNN's CPU time equals
 // that of roughly 15-40 MCs (printed as the "break-even" column).
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/edge_node.hpp"
+#include "core/microclassifier.hpp"
+#include "dnn/feature_extractor.hpp"
+#include "util/timer.hpp"
 
 using namespace ff;
 using bench::BenchParams;
@@ -42,30 +46,46 @@ int main(int argc, char** argv) {
       // Faithful to the paper: the extractor runs the complete base DNN
       // (see the matching note in bench_fig5_throughput.cpp).
       fx.RequestTap("conv6/sep");
-      core::EdgeNodeConfig cfg;
-      cfg.frame_width = ds.spec().width;
-      cfg.frame_height = ds.spec().height;
-      cfg.fps = ds.spec().fps;
-      cfg.enable_upload = false;
-      // Serial MC phase: this figure attributes per-MC *CPU* cost (the
-      // "base = N MCs" column), which pooled wall time would hide.
-      cfg.parallel_mcs = false;
-      core::EdgeNode node(fx, cfg);
       const std::string tap = std::string(arch) == "full_frame"
                                   ? bench::LateTapForScale(ds.spec().width)
                                   : bench::TapForScale(ds.spec().width);
+      fx.RequestTap(tap);
+      std::vector<std::unique_ptr<core::Microclassifier>> mcs;
       for (std::int64_t i = 0; i < k; ++i) {
-        node.Attach({.mc = core::MakeMicroclassifier(
-                         arch,
-                         {.name = arch + std::to_string(i), .tap = tap,
-                          .seed = static_cast<std::uint64_t>(500 + i)},
-                         fx, ds.spec().height, ds.spec().width)});
+        mcs.push_back(core::MakeMicroclassifier(
+            arch,
+            {.name = arch + std::to_string(i), .tap = tap,
+             .seed = static_cast<std::uint64_t>(500 + i)},
+            fx, ds.spec().height, ds.spec().width));
       }
-      for (const auto& f : frames) node.Submit(f);
-      node.Drain();
+      // The two phases of an EdgeNode frame, timed here: one batch-1 base
+      // DNN forward, then every MC in attach order on this thread. Serial
+      // MCs attribute per-MC *CPU* cost (the "base = N MCs" column), which
+      // the node's pooled phase-2 wall time would hide.
+      util::PhaseTimer base_timer, mc_timer;
+      dnn::FeatureMaps fm;
+      for (const auto& f : frames) {
+        const nn::Tensor input = dnn::PreprocessRgb(
+            f.r(), f.g(), f.b(), ds.spec().height, ds.spec().width);
+        base_timer.Start();
+        fm = fx.Extract(input);
+        base_timer.Stop();
+        mc_timer.Start();
+        for (auto& mc : mcs) mc->Infer(fm);
+        mc_timer.Stop();
+      }
+      // End of stream, as EdgeNode::Drain: a windowed MC replays the last
+      // frame's maps to score its final DecisionDelay() frames.
+      mc_timer.Start();
+      for (auto& mc : mcs) {
+        const std::int64_t tail = std::min<std::int64_t>(
+            mc->DecisionDelay(), static_cast<std::int64_t>(frames.size()));
+        for (std::int64_t i = 0; i < tail; ++i) mc->Infer(fm);
+      }
+      mc_timer.Stop();
       const auto n = static_cast<double>(frames.size());
-      const double base_s = node.base_dnn_seconds() / n;
-      const double mc_s = node.mc_seconds() / n;
+      const double base_s = base_timer.total_seconds() / n;
+      const double mc_s = mc_timer.total_seconds() / n;
       const double per_mc = mc_s / static_cast<double>(k);
       t.AddRow({std::to_string(k), util::Table::Num(base_s, 4),
                 util::Table::Num(mc_s, 4),

@@ -618,17 +618,24 @@ void EdgeFleet::ShipUpload(Stream& s, std::int64_t index,
   upload_timer_.Stop();
   s.last_uploaded = index;
   ++s.frames_uploaded;
-  if (upload_sink_) {
-    UploadPacket packet;
-    packet.stream = s.handle;
-    packet.frame_index = index;
-    packet.frame_width = s.width;
-    packet.frame_height = s.height;
-    packet.chunk = std::move(chunk);
-    packet.metadata.frame_index = index;
-    packet.metadata.memberships = std::move(memberships);
-    upload_sink_(packet);
-  }
+  SendUpload(s, index, false, std::move(chunk), std::move(memberships));
+}
+
+void EdgeFleet::SendUpload(const Stream& s, std::int64_t index,
+                           bool tombstone, std::string chunk,
+                           std::vector<std::pair<std::string, std::int64_t>>
+                               memberships) {
+  if (!upload_sink_) return;
+  UploadPacket packet;
+  packet.stream = s.handle;
+  packet.frame_index = index;
+  packet.frame_width = s.width;
+  packet.frame_height = s.height;
+  packet.tombstone = tombstone;
+  packet.chunk = std::move(chunk);
+  packet.metadata.frame_index = index;
+  packet.metadata.memberships = std::move(memberships);
+  upload_sink_(packet);
 }
 
 void EdgeFleet::FinalizeReadyFrames(Stream& s) {
@@ -687,17 +694,7 @@ void EdgeFleet::FlushDeferredUploads(Stream& s) {
       // index is non-contiguous) and the full clip stays in the edge
       // archive, demand-fetchable.
       ++s.frames_suppressed;
-      if (upload_sink_) {
-        UploadPacket packet;
-        packet.stream = s.handle;
-        packet.frame_index = d.index;
-        packet.frame_width = s.width;
-        packet.frame_height = s.height;
-        packet.tombstone = true;
-        packet.metadata.frame_index = d.index;
-        packet.metadata.memberships = std::move(d.memberships);
-        upload_sink_(packet);
-      }
+      SendUpload(s, d.index, true, {}, std::move(d.memberships));
     }
     PruneVerdicts(s, d.index);
     s.deferred.pop_front();
@@ -846,65 +843,42 @@ void EdgeFleet::PullFrames(const std::vector<Pull*>& pulls,
   }
 }
 
-bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
-                           std::unique_lock<std::mutex>* io_lock,
-                           std::optional<video::Frame>* pulled) {
+EdgeFleet::Attempt EdgeFleet::StageFrame(
+    Stream& s, StagedBatch& batch, std::int64_t cap,
+    std::unique_lock<std::mutex>* io_lock, std::optional<video::Frame>* pulled) {
   video::Frame frame;
-  if (pulled == nullptr && !s.queue.empty()) {
+  if (pulled == nullptr) {
     // Queued frames passed admission at Push; never re-admit.
+    if (s.queue.empty()) return Attempt::kMiss;
     frame = std::move(s.queue.front());
     s.queue.pop_front();
     ++in_flight_;
   } else {
-    for (;;) {
-      std::optional<video::Frame> next;
-      if (pulled != nullptr) {
-        next = std::move(*pulled);
-        pulled = nullptr;
-      } else {
-        if (s.source == nullptr || s.source_done) return false;
-        Pull p;
-        p.handle = s.handle;
-        p.stream = &s;
-        p.source = s.source;
-        PullFrames({&p}, io_lock);
-        if (p.error) std::rethrow_exception(p.error);
-        // The pull task released the stream before the lock came back, so
-        // a RemoveStream may have erased it meanwhile (`s` then dangles);
-        // its frame goes with it.
-        if (io_lock != nullptr && FindStream(p.handle) == nullptr) {
-          if (p.frame) --in_flight_;
-          return false;
-        }
-        next = std::move(p.frame);
-      }
-      if (!next) {
-        s.source_done = true;
-        return false;
-      }
-      // Validate and admit BEFORE the stop check: a misreporting source
-      // must stay loud even at stop (the throw surfaces at StopPipeline
-      // like any pipeline error), and the shed schedule must not depend on
-      // when StopPipeline happened to land.
-      ValidateFrame(s, *next);  // sources may misreport their metadata
-      const bool admitted = AdmitFrame(s, *next);
-      if (io_lock != nullptr && pipeline_stop_) {
-        // Keep an ADMITTED decoded frame for the next Step or pipeline
-        // restart, at the queue front (every queued frame is post-admission,
-        // so only admitted frames may be restaged).
-        if (admitted) s.queue.push_front(std::move(*next));
-        --in_flight_;
-        return false;
-      }
-      if (admitted) {
-        frame = std::move(*next);
-        break;
-      }
-      // A shed frame vanishes before staging; pull the source again — the
-      // decimator keeps every k-th OFFERED frame, so one StageFrame call may
-      // consume several source frames under overload.
-      --in_flight_;
+    if (!*pulled) {
+      s.source_done = true;
+      return Attempt::kMiss;
     }
+    // Validate and admit BEFORE the stop check: a misreporting source
+    // must stay loud even at stop (the throw surfaces at StopPipeline
+    // like any pipeline error), and the shed schedule must not depend on
+    // when StopPipeline happened to land.
+    ValidateFrame(s, **pulled);  // sources may misreport their metadata
+    const bool admitted = AdmitFrame(s, **pulled);
+    if (io_lock != nullptr && pipeline_stop_) {
+      // Keep an ADMITTED decoded frame for the next Step or pipeline
+      // restart, at the queue front (every queued frame is post-admission,
+      // so only admitted frames may be restaged).
+      if (admitted) s.queue.push_front(std::move(**pulled));
+      --in_flight_;
+      return Attempt::kMiss;
+    }
+    if (!admitted) {
+      // A shed frame vanishes before staging; the cursor's next visit
+      // pulls the source again.
+      --in_flight_;
+      return Attempt::kShed;
+    }
+    frame = std::move(**pulled);
   }
   nn::Tensor& staging = batch.bucket->staging;
   // Reallocate only when the batch width grows; a wider tensor serves a
@@ -921,7 +895,7 @@ bool EdgeFleet::StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
   if (io_lock != nullptr) io_lock->unlock();
   dnn::PreprocessRgbInto(staging, image, f.r(), f.g(), f.b());
   if (io_lock != nullptr) io_lock->lock();
-  return true;
+  return Attempt::kStaged;
 }
 
 std::int64_t EdgeFleet::ProcessStaged(StagedBatch& batch) {
@@ -1008,12 +982,12 @@ std::int64_t EdgeFleet::ProcessStaged(StagedBatch& batch) {
   }
 
   // Phase 2: MC inference fanned out across streams × tenants — one pool
-  // task per (stream, tenant) pair, each walking its stream's images of
-  // this batch IN ORDER (windowed MCs are stateful; per-tenant sequencing
-  // is what makes fleet decisions bitwise-equal to a dedicated node).
-  // Tasks write disjoint score slots and read the shared maps const, so
-  // they are data-race-free; kernel parallelism inside an MC degrades to
-  // serial (see util/thread_pool.hpp).
+  // task per (stream, tenant) pair (a lone task runs inline), each walking
+  // its stream's images of this batch IN ORDER (windowed MCs are stateful;
+  // per-tenant sequencing is what makes fleet decisions bitwise-equal to a
+  // dedicated node). Tasks write disjoint score slots and read the shared
+  // maps const, so they are data-race-free; kernel parallelism inside a
+  // pooled MC degrades to serial (see util/thread_pool.hpp).
   if (!active.empty()) {
     struct McTask {
       std::size_t stream_slot = 0;  // into active_streams / stream_items
@@ -1033,18 +1007,8 @@ std::int64_t EdgeFleet::ProcessStaged(StagedBatch& batch) {
         it->scores[task.tenant] = tenant_mc.Infer(fm, it->image);
       }
     };
-    // Fan out only once there are enough tasks to occupy the pool — below
-    // that, serial tasks with intra-kernel parallelism use the cores
-    // better (2 tasks on 16 cores would otherwise cap at 2-way).
-    const std::size_t pool_threads = util::GlobalPool().size() + 1;
-    const bool fan_out = cfg_.parallel_mcs && tasks.size() > 1 &&
-                         2 * tasks.size() >= pool_threads;
     mc_timer_.Start();
-    if (fan_out) {
-      util::GlobalPool().ParallelFor(tasks.size(), run_task);
-    } else {
-      for (std::size_t i = 0; i < tasks.size(); ++i) run_task(i);
-    }
+    util::GlobalPool().ParallelFor(tasks.size(), run_task);
     mc_timer_.Stop();
   }
 
@@ -1162,20 +1126,23 @@ std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
     // stream per cycle, continuing around until the batch is full or a
     // whole cycle yields nothing. With >= cap streams ready, each
     // contributes one frame; with fewer, their queues fill the remaining
-    // width — the per-stream buffering depth is ~cap / live_streams.
+    // width — the per-stream buffering depth is ~cap / live_streams. A
+    // frame shed at admission stages nothing, but its stream had one
+    // ready: the miss run restarts, and the cursor's next visit pulls that
+    // source again (the decimator keeps every k-th OFFERED frame).
     //
     // The attempts run in rounds of the next `width` members in cursor
-    // order, sized so the serial loop would make every one of them (the
-    // batch cannot fill and the misses cannot reach n before the round's
-    // last attempt) and no stream appears twice. Every attempt that needs
-    // its source is pulled concurrently; then, in attempt order, each is
-    // settled exactly as a serial pull would have been, so queue order,
+    // order, sized so a one-at-a-time loop would make every one of them
+    // (the batch cannot fill and the misses cannot reach n before the
+    // round's last attempt) and no stream appears twice. Every attempt
+    // that needs its source is pulled concurrently; then, in attempt
+    // order, each is settled as that loop would settle it, so queue order,
     // batch order and admission order match a one-at-a-time gather.
     StagedBatch batch;
     batch.bucket = &b;
     const std::size_t n = members.size();
     std::size_t idx = b.rr % n;
-    std::size_t misses = 0;  // consecutive streams with nothing ready
+    std::size_t misses = 0;  // consecutive attempts with nothing ready
     std::vector<Pull> round;    // the attempts, in cursor order
     std::size_t unsettled = 0;  // first attempt of `round` not yet settled
     const auto stopping = [&] { return io_lock != nullptr && pipeline_stop_; };
@@ -1205,28 +1172,24 @@ std::int64_t EdgeFleet::RunTurn(std::int64_t cap,
           if (p.error) std::rethrow_exception(p.error);
           Stream* s = FindStream(p.handle);
           const bool was_pulled = p.source != nullptr;
-          bool staged = false;
+          Attempt a = Attempt::kMiss;
           if (s == nullptr) {
             // Removed while the lock was down: its frame goes with it.
             if (p.frame) --in_flight_;
           } else if (was_pulled || !stopping()) {
             // After a stop, a pulled frame is still settled (StageFrame
-            // restages it); no queued frame is taken and no source pulled.
-            staged = StageFrame(*s, batch, cap, io_lock,
-                                was_pulled ? &p.frame : nullptr);
+            // restages it); no queued frame is taken.
+            a = StageFrame(*s, batch, cap, io_lock,
+                           was_pulled ? &p.frame : nullptr);
           }
-          if (staged) {
-            misses = 0;
-          } else {
-            ++misses;
-          }
+          misses = a == Attempt::kMiss ? misses + 1 : 0;
         }
       }
     } catch (...) {
       // One stream's source misbehaved (e.g. a mismatched frame): the loud
       // failure must not silently eat a frame of anyone's decision stream.
       // Frames the round pulled for later attempts go back to their queue
-      // fronts, admitted as a serial pull would have admitted them (a
+      // fronts, admitted as settling would have admitted them (a
       // frame contradicting its stream's geometry is dropped: the first
       // error in attempt order is the one that surfaces). Then reverse
       // batch order restores each queue's front-to-back order; frames of a

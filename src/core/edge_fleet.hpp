@@ -25,7 +25,9 @@
 //       bounded Push() queue or its FrameSource, preprocessed into the
 //       bucket's staging tensor. The sources of one round (the next
 //       streams in cursor order, each at most once) decode concurrently,
-//       one util::GlobalPool() task per source;
+//       one util::GlobalPool() task per source — a round is the only
+//       place the fleet pulls a source; a stream whose frame is shed at
+//       admission is pulled again at the cursor's next visit;
 //   (B) phase 1 — run the shared FeatureExtractor once over the batch;
 //   (C) phase 2 fan-out — one util::GlobalPool() task per (stream, tenant)
 //       pair over the shared maps — then phases 3-5 (K-voting, events,
@@ -233,10 +235,6 @@ struct EdgeFleetConfig {
   std::int64_t archive_gop = 1;
   // Records per pack segment file.
   std::int64_t archive_segment_frames = 64;
-  // Phase 2 across the thread pool, one task per (stream, tenant), once
-  // there are enough tasks to occupy it. Disable for serial attach-order
-  // execution (per-MC CPU attribution, Fig. 6).
-  bool parallel_mcs = true;
   // Frames per phase-1 batch: each batch drains up to this many frames
   // round-robin across one bucket's live streams. With >= max_batch live
   // streams a batch holds one frame per stream — full batch parallelism
@@ -518,8 +516,8 @@ class EdgeFleet {
   // never torn against a concurrently running pipeline).
   FleetStats fleet_stats() const;
 
-  // Phase time totals in seconds (Fig. 6's breakdown, fleet-wide). With
-  // parallel_mcs, mc_seconds is the wall time of the fanned-out phase 2.
+  // Phase time totals in seconds (Fig. 6's breakdown, fleet-wide).
+  // mc_seconds is the wall time of the fanned-out phase 2.
   double base_dnn_seconds() const;
   double mc_seconds() const;
   double smooth_seconds() const;
@@ -688,7 +686,7 @@ class EdgeFleet {
   std::pair<Stream*, std::size_t> TenantRef(McHandle handle) const;
   void ValidateFrame(const Stream& s, const video::Frame& frame) const;
   // Overload-control admission, called (under mu_) for every frame entering
-  // via Push or StageFrame's source pull. Stamps the frame's capture
+  // via Push or a gather round's source pull. Stamps the frame's capture
   // timestamp when the source left it unset, updates the stream's
   // breach/recovery streaks, and returns whether the frame is kept (false =
   // shed now, before any staging).
@@ -725,21 +723,24 @@ class EdgeFleet {
   // its Next() returns. Errors are stored, not thrown.
   void PullFrames(const std::vector<Pull*>& pulls,
                   std::unique_lock<std::mutex>* io_lock);
-  // Stage A, one attempt of a turn's gather: takes the next admitted frame
-  // of `s` — `pulled` when RunTurn's round already pulled one for it, else
-  // its Push() queue first (queued frames were admitted at Push), then its
-  // source — validates and admits a source frame (a shed frame is skipped
-  // and the source pulled again, serially), appends it to `batch` and
-  // preprocesses it into the next image of the bucket's staging tensor
-  // (grown to `cap` images on the batch's first frame if narrower).
-  // Returns false when `s` has nothing ready, or when it was removed while
-  // the lock was down for a re-pull. The pipeline driver passes its lock,
-  // released around a re-pull and preprocessing; when StopPipeline has
-  // landed, an admitted source frame is restaged at the queue front
-  // instead of staged.
-  bool StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
-                  std::unique_lock<std::mutex>* io_lock,
-                  std::optional<video::Frame>* pulled);
+  // How StageFrame settled one attempt of a gather round.
+  enum class Attempt {
+    kStaged,  // a frame joined the batch
+    kMiss,    // the stream had nothing ready
+    kShed,    // the pulled frame was shed at admission
+  };
+  // Stage A, one attempt of a turn's gather: settles `pulled`, the frame
+  // RunTurn's round pulled from the source of `s` (validated, then
+  // admitted), or, when null, the front of its Push() queue (queued frames
+  // were admitted at Push). An admitted frame is appended to `batch` and
+  // preprocessed into the next image of the bucket's staging tensor (grown
+  // to `cap` images on the batch's first frame if narrower). The pipeline
+  // driver passes its lock, released around preprocessing; when
+  // StopPipeline has landed, an admitted source frame is restaged at the
+  // queue front instead of staged (a kMiss).
+  Attempt StageFrame(Stream& s, StagedBatch& batch, std::int64_t cap,
+                     std::unique_lock<std::mutex>* io_lock,
+                     std::optional<video::Frame>* pulled);
   // Stages B + C: bookkeeping, one base-DNN forward over the staged batch,
   // the (stream, tenant) MC fan-out, phases 3-5 per frame in batch order,
   // then the archive appends (after every sink of the batch has fired).
@@ -752,11 +753,13 @@ class EdgeFleet {
   // rounds: the next members in cursor order, each at most once, have
   // their sources pulled concurrently (PullFrames), and are then settled
   // one by one in cursor order (StageFrame), so the batch is the one a
-  // serial gather would take. A gather that throws returns what it took to
-  // the queue fronts, so an aborted gather opens no gap in any surviving
-  // stream's decision sequence. Returns frames processed — 0 when no
-  // bucket had a frame ready, or when every frame gathered belonged to a
-  // stream removed mid-gather. Caller holds mu_; `io_lock` as for
+  // one-at-a-time gather would take. The rounds are the fleet's only
+  // FrameSource::Next() site: a stream whose pulled frame is shed is pulled
+  // again when the cursor next reaches it. A gather that throws returns
+  // what it took to the queue fronts, so an aborted gather opens no gap in
+  // any surviving stream's decision sequence. Returns frames processed — 0
+  // when no bucket had a frame ready, or when every frame gathered belonged
+  // to a stream removed mid-gather. Caller holds mu_; `io_lock` as for
   // PullFrames.
   std::int64_t RunTurn(std::int64_t cap, std::unique_lock<std::mutex>* io_lock);
 
@@ -774,6 +777,12 @@ class EdgeFleet {
   // Encodes and ships one finalized positive frame (the shared tail of the
   // immediate and deferred upload paths — byte-identical either way).
   void ShipUpload(Stream& s, std::int64_t index, const video::Frame& frame,
+                  std::vector<std::pair<std::string, std::int64_t>>
+                      memberships);
+  // Hands frame `index` of `s` to the upload sink, if one is bound: the
+  // encoded `chunk`, or a metadata-only tombstone.
+  void SendUpload(const Stream& s, std::int64_t index, bool tombstone,
+                  std::string chunk,
                   std::vector<std::pair<std::string, std::int64_t>>
                       memberships);
   // Drains every tenant of `s` and finalizes its uploads (RemoveStream and

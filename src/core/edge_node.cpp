@@ -11,7 +11,6 @@ EdgeFleetConfig FleetConfig(const EdgeNodeConfig& cfg) {
   fc.upload_bitrate_bps = cfg.upload_bitrate_bps;
   fc.enable_upload = cfg.enable_upload;
   fc.edge_store_capacity = cfg.edge_store_capacity;
-  fc.parallel_mcs = cfg.parallel_mcs;
   fc.max_batch = std::max<std::int64_t>(1, cfg.submit_batch);
   // Submit() stages and drains within one call (each span is exactly one
   // Step), so the node bounds its own in-flight frames; the fleet queue

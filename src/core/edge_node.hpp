@@ -29,8 +29,9 @@
 // DNN and the MCs never compete for cores):
 //   1. preprocess + base DNN forward to the deepest requested tap
 //   2. every live tenant's MC infers from the shared feature maps — fanned
-//      out across util::GlobalPool() (one task per tenant; kernel-level
-//      parallelism inside a tenant auto-serializes, see util/thread_pool.hpp)
+//      out across util::GlobalPool() (one task per tenant, a lone tenant
+//      inline; kernel-level parallelism inside a pool task auto-serializes,
+//      see util/thread_pool.hpp)
 //   3. per-tenant K-voting smoothing and transition detection, serially in
 //      attach order (sinks always fire on the Submit/Detach/Drain caller's
 //      thread)
@@ -66,12 +67,6 @@ struct EdgeNodeConfig {
   bool enable_upload = true;
   // Edge store capacity in frames (0 disables archiving/demand-fetch).
   std::int64_t edge_store_capacity = 0;
-  // Phase 2 across the thread pool (one task per tenant) once the tenant
-  // count is large enough to occupy it; with few tenants the MCs run
-  // serially and their kernels parallelize internally instead. Disable to
-  // always run MCs single-threaded in attach order (per-MC CPU
-  // attribution, Fig. 6).
-  bool parallel_mcs = true;
   // Frames per phase-1 batch in Run(): the base DNN forwards (N, 3, H, W)
   // at a time, so its conv kernels parallelize across n × out_c instead of
   // out_c alone. Decisions are bitwise-identical to frame-at-a-time
@@ -154,8 +149,8 @@ class EdgeNode {
     return fleet_.edge_store_shared(stream_);
   }
 
-  // Phase time totals in seconds (Fig. 6's breakdown). With parallel_mcs,
-  // mc_seconds is the wall time of the fanned-out phase 2.
+  // Phase time totals in seconds. mc_seconds is the wall time of the
+  // fanned-out phase 2 (bench_fig6_breakdown times each MC itself).
   double base_dnn_seconds() const { return fleet_.base_dnn_seconds(); }
   double mc_seconds() const { return fleet_.mc_seconds(); }
   double smooth_seconds() const { return fleet_.smooth_seconds(); }

@@ -157,7 +157,10 @@ class WindowedLocalizedMc : public Microclassifier {
                       bool reuse_buffers = true);
 
   std::int64_t DecisionDelay() const override { return window_ / 2; }
-  void ResetTemporalState() override { buffer_.clear(); }
+  void ResetTemporalState() override {
+    buffer_.clear();
+    raw_buffer_.clear();
+  }
   std::uint64_t MarginalMacsPerFrame() const override;
   nn::Sequential& net() override { return net_; }
 

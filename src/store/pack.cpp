@@ -317,24 +317,7 @@ void PackArchive::ScanSegment(Segment& seg, std::string_view file) {
   }
 
   // Re-seal: append a fresh footer over the surviving records.
-  std::string footer;
-  for (const Entry& e : seg.entries) {
-    PutU64(footer, e.offset);
-    PutU32(footer, e.length);
-    footer.push_back(e.keyframe ? 1 : 0);
-    footer.push_back(0);
-    footer.push_back(0);
-    footer.push_back(0);
-    PutI64(footer, e.ts_ns);
-  }
-  const std::uint32_t idx_crc = util::Crc32(footer);
-  PutU32(footer, kIdxMagic);
-  footer.push_back(static_cast<char>(kPackVersion));
-  footer.push_back(0);
-  footer.push_back(0);
-  footer.push_back(0);
-  PutU32(footer, static_cast<std::uint32_t>(seg.entries.size()));
-  PutU32(footer, idx_crc);
+  const std::string footer = Footer(seg.entries);
 
   AppendFile out;
   out.Open(seg.path);
@@ -404,11 +387,9 @@ void PackArchive::Append(std::int64_t frame_index, bool keyframe,
   EvictFront();
 }
 
-void PackArchive::SealActive() {
-  if (segments_.empty() || segments_.back().sealed) return;
-  Segment& seg = segments_.back();
+std::string PackArchive::Footer(const std::vector<Entry>& entries) {
   std::string footer;
-  for (const Entry& e : seg.entries) {
+  for (const Entry& e : entries) {
     PutU64(footer, e.offset);
     PutU32(footer, e.length);
     footer.push_back(e.keyframe ? 1 : 0);
@@ -423,8 +404,15 @@ void PackArchive::SealActive() {
   footer.push_back(0);
   footer.push_back(0);
   footer.push_back(0);
-  PutU32(footer, static_cast<std::uint32_t>(seg.entries.size()));
+  PutU32(footer, static_cast<std::uint32_t>(entries.size()));
   PutU32(footer, idx_crc);
+  return footer;
+}
+
+void PackArchive::SealActive() {
+  if (segments_.empty() || segments_.back().sealed) return;
+  Segment& seg = segments_.back();
+  const std::string footer = Footer(seg.entries);
   active_.Write(footer);
   active_.Flush();
   active_.Close();

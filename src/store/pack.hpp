@@ -176,6 +176,9 @@ class PackArchive final : public ArchiveBackend {
   bool LoadSegment(const std::string& path);
   bool TryLoadFooter(Segment& seg, std::string_view file);
   void ScanSegment(Segment& seg, std::string_view file);
+  // A segment's index footer over `entries`, as the seal and the reopen
+  // re-seal both write it.
+  static std::string Footer(const std::vector<Entry>& entries);
   void SealActive();
   void StartSegment(std::int64_t frame_index);
   void EvictFront();

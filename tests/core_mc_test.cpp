@@ -158,14 +158,18 @@ TEST(WindowedMc, ReuseSavesReduceCost) {
 }
 
 TEST(WindowedMc, ResetClearsTemporalState) {
-  WindowedLocalizedMc mc({.name = "win", .tap = dnn::kMidTap, .seed = 3},
-                         SharedFx(), kH, kW);
   const auto fm1 = ExtractTestFrame(11);
   const auto fm2 = ExtractTestFrame(12);
-  const float first = mc.Infer(fm1);
-  mc.Infer(fm2);
-  mc.ResetTemporalState();
-  EXPECT_FLOAT_EQ(mc.Infer(fm1), first);  // same as a fresh stream
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse_buffers" : "recompute");
+    WindowedLocalizedMc mc({.name = "win", .tap = dnn::kMidTap, .seed = 3},
+                           SharedFx(), kH, kW,
+                           WindowedLocalizedMc::kDefaultWindow, reuse);
+    const float first = mc.Infer(fm1);
+    mc.Infer(fm2);
+    mc.ResetTemporalState();
+    EXPECT_FLOAT_EQ(mc.Infer(fm1), first);  // same as a fresh stream
+  }
 }
 
 TEST(Microclassifier, MarginalCostOrdering) {

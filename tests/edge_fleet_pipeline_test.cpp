@@ -633,8 +633,8 @@ class StaleSource : public video::FrameSource {
 };
 
 TEST(EdgeFleetPipeline, StreamRemovedWhileRepullingAfterAShedFrame) {
-  // A shed frame makes the gather pull its stream again, serially, with
-  // the fleet lock down (here the re-pull blocks at a gate). A RemoveStream
+  // A shed frame makes the gather's next round pull its stream again,
+  // with the fleet lock down (here the re-pull blocks at a gate). A RemoveStream
   // of that stream waits for the pull, and may take the lock before the
   // driver has it back; the driver must then drop the pulled frame and not
   // touch the erased stream. Which thread wins the lock is a race, so the

@@ -106,16 +106,15 @@ TEST(EdgeNode, MultiTenantMixedArchitectures) {
 }
 
 TEST(EdgeNode, SerialAndPooledMcPhasesAgreeExactly) {
-  // parallel_mcs must be a pure execution-strategy switch: identical
-  // decisions, events, and upload accounting either way.
+  // Co-tenancy is pure scheduling: each MC alone on its own node (one
+  // phase-2 task, run inline) decides exactly as it does beside three
+  // others on one node (four pool tasks).
   const video::SyntheticDataset ds(SmallSpec(20, 19));
   dnn::FeatureExtractor fx({.include_classifier = false});
-  auto run = [&](bool parallel) {
-    EdgeNodeConfig cfg = MakeConfig(ds.spec());
-    cfg.parallel_mcs = parallel;
-    EdgeNode node(fx, cfg);
+  auto run = [&](const std::vector<int>& mcs) {
+    EdgeNode node(fx, MakeConfig(ds.spec()));
     std::vector<std::unique_ptr<ResultCollector>> collectors;
-    for (int m = 0; m < 4; ++m) {
+    for (const int m : mcs) {
       collectors.push_back(std::make_unique<ResultCollector>());
       AttachCollected(
           node, *collectors.back(),
@@ -128,19 +127,19 @@ TEST(EdgeNode, SerialAndPooledMcPhasesAgreeExactly) {
     }
     video::DatasetSource src(ds);
     node.Run(src);
-    std::pair<std::vector<McResult>, std::int64_t> out;
-    for (auto& rc : collectors) out.first.push_back(rc->result());
-    out.second = node.frames_uploaded();
+    std::vector<McResult> out;
+    for (auto& rc : collectors) out.push_back(rc->result());
     return out;
   };
-  const auto serial = run(false);
-  const auto pooled = run(true);
-  EXPECT_EQ(serial.second, pooled.second);
-  ASSERT_EQ(serial.first.size(), pooled.first.size());
-  for (std::size_t m = 0; m < serial.first.size(); ++m) {
-    EXPECT_EQ(serial.first[m].scores, pooled.first[m].scores) << m;
-    EXPECT_EQ(serial.first[m].decisions, pooled.first[m].decisions) << m;
-    EXPECT_EQ(serial.first[m].event_ids, pooled.first[m].event_ids) << m;
+  const auto pooled = run({0, 1, 2, 3});
+  ASSERT_EQ(pooled.size(), 4u);
+  for (int m = 0; m < 4; ++m) {
+    const auto alone = run({m});
+    ASSERT_EQ(alone.size(), 1u);
+    const McResult& p = pooled[static_cast<std::size_t>(m)];
+    EXPECT_EQ(alone[0].scores, p.scores) << m;
+    EXPECT_EQ(alone[0].decisions, p.decisions) << m;
+    EXPECT_EQ(alone[0].event_ids, p.event_ids) << m;
   }
 }
 

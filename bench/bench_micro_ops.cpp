@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "codec/codec.hpp"
 #include "codec/dct.hpp"
@@ -293,19 +295,50 @@ void BM_Dct8x8RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Dct8x8RoundTrip);
 
+// Renders a clip up front, so the codec benches time the codec alone.
+std::vector<video::Frame> RenderClip(const video::SyntheticDataset& ds) {
+  std::vector<video::Frame> frames;
+  for (std::int64_t t = 0; t < ds.n_frames(); ++t) {
+    frames.push_back(ds.RenderFrame(t));
+  }
+  return frames;
+}
+
 void BM_EncodeFrame(benchmark::State& state) {
   const video::SyntheticDataset ds(video::JacksonSpec(320, 64, 41));
+  const std::vector<video::Frame> frames = RenderClip(ds);
   codec::EncoderConfig cfg{.width = ds.spec().width,
                            .height = ds.spec().height};
   cfg.target_bitrate_bps = 200000;
   codec::Encoder enc(cfg);
-  std::int64_t i = 0;
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.EncodeFrame(ds.RenderFrame(i % 64)));
-    ++i;
+    benchmark::DoNotOptimize(enc.EncodeFrame(frames[i++ % frames.size()]));
   }
 }
 BENCHMARK(BM_EncodeFrame);
+
+// perfbench's camera feed: 256x144 Jackson at constant QP 20, GOP 30.
+void BM_DecodeFrame(benchmark::State& state) {
+  const video::SyntheticDataset ds(video::JacksonSpec(256, 60, 43));
+  codec::EncoderConfig cfg{.width = ds.spec().width,
+                           .height = ds.spec().height};
+  cfg.initial_qp = 20;
+  cfg.gop_size = 30;
+  codec::Encoder enc(cfg);
+  std::vector<std::string> chunks;
+  for (const video::Frame& f : RenderClip(ds)) {
+    chunks.push_back(enc.EncodeFrame(f));
+  }
+  // The clip opens with an I-frame, so cycling through it keeps every
+  // P-frame's reference.
+  codec::Decoder dec(cfg.width, cfg.height);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dec.DecodeFrame(chunks[i++ % chunks.size()]));
+  }
+}
+BENCHMARK(BM_DecodeFrame);
 
 void BM_RenderFrame(benchmark::State& state) {
   const video::SyntheticDataset ds(video::JacksonSpec(320, 64, 42));

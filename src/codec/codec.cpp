@@ -1,7 +1,9 @@
 #include "codec/codec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "codec/bitstream.hpp"
 #include "codec/dct.hpp"
@@ -14,32 +16,48 @@ namespace {
 
 std::int64_t PadTo16(std::int64_t v) { return (v + 15) / 16 * 16; }
 
-std::uint8_t Clamp8(float v) {
-  return static_cast<std::uint8_t>(
-      std::clamp<long>(std::lround(v), 0L, 255L));
+// The six 8x8 blocks of a macroblock: four luma, then cb and cr.
+struct BlockSite {
+  int plane;          // 0 = y, 1 = cb, 2 = cr
+  std::int64_t x, y;  // block origin within its plane
+};
+
+std::array<BlockSite, 6> MacroblockSites(std::int64_t mx, std::int64_t my) {
+  return {{{0, mx, my},
+           {0, mx + 8, my},
+           {0, mx, my + 8},
+           {0, mx + 8, my + 8},
+           {1, mx / 2, my / 2},
+           {2, mx / 2, my / 2}}};
 }
 
-// Extracts an 8x8 block fully inside a plane.
-Block GetBlock8(const std::uint8_t* p, std::int64_t stride, std::int64_t x0,
-                std::int64_t y0) {
-  Block b{};
-  for (int y = 0; y < 8; ++y) {
-    const std::uint8_t* row = p + (y0 + y) * stride + x0;
-    for (int x = 0; x < 8; ++x) {
-      b[static_cast<std::size_t>(y * 8 + x)] = static_cast<float>(row[x]);
-    }
-  }
-  return b;
+std::int64_t Stride(const YuvImage& img, int plane) {
+  return plane == 0 ? img.w : img.chroma_w();
 }
 
-void PutBlock8(std::uint8_t* p, std::int64_t stride, std::int64_t x0,
-               std::int64_t y0, const Block& b) {
-  for (int y = 0; y < 8; ++y) {
-    std::uint8_t* row = p + (y0 + y) * stride + x0;
-    for (int x = 0; x < 8; ++x) {
-      row[x] = Clamp8(b[static_cast<std::size_t>(y * 8 + x)]);
-    }
-  }
+// The 8x8 block of `img` at a site, shifted by (dx, dy) in that plane.
+template <typename Image>
+auto* BlockAt(Image& img, const BlockSite& s, std::int64_t dx = 0,
+              std::int64_t dy = 0) {
+  auto& plane = s.plane == 0 ? img.y : s.plane == 1 ? img.cb : img.cr;
+  return plane.data() + (s.y + dy) * Stride(img, s.plane) + s.x + dx;
+}
+
+// 8x8 pixels with a row stride: a block's prediction, or where its
+// reconstruction goes.
+struct Pixels {
+  const std::uint8_t* p;
+  std::int64_t stride;
+};
+
+// Intra blocks predict from a flat 128.
+Pixels Flat128() {
+  static const std::array<std::uint8_t, 64> flat = [] {
+    std::array<std::uint8_t, 64> a;
+    a.fill(128);
+    return a;
+  }();
+  return {flat.data(), 8};
 }
 
 // Sum of absolute differences between a 16x16 luma block of `cur` at
@@ -89,17 +107,56 @@ Mv MotionSearch(const YuvImage& cur, const YuvImage& ref, std::int64_t x0,
   return best;
 }
 
-// Quantizes and entropy-codes one residual block; returns the reconstructed
-// residual (what the decoder will add to its prediction).
-Block CodeBlock(BitWriter& bw, const Block& residual, double qstep) {
-  const Block freq = ForwardDct(residual);
-  const QuantBlock q = Quantize(freq, qstep);
+// The motion-compensated prediction of one block: chroma moves by half the
+// luma vector, rounded toward zero.
+Pixels RefBlock(const YuvImage& ref, const BlockSite& s, const Mv& mv) {
+  const std::int64_t dx = s.plane == 0 ? mv.dx : mv.dx / 2;
+  const std::int64_t dy = s.plane == 0 ? mv.dy : mv.dy / 2;
+  return {BlockAt(ref, s, dx, dy), Stride(ref, s.plane)};
+}
+
+// The residual the encoder codes: current pixels minus the prediction.
+Block Residual(const Pixels& cur, const Pixels& pred) {
+  Block r;
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      r[static_cast<std::size_t>(y * 8 + x)] =
+          static_cast<float>(cur.p[y * cur.stride + x]) -
+          static_cast<float>(pred.p[y * pred.stride + x]);
+    }
+  }
+  return r;
+}
+
+// Writes prediction + residual, rounded, into the block at `out`.
+void Reconstruct(std::uint8_t* out, std::int64_t stride, const Pixels& pred,
+                 const Block& residual) {
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      out[y * stride + x] =
+          RoundToPixel(static_cast<float>(pred.p[y * pred.stride + x]) +
+                       residual[static_cast<std::size_t>(y * 8 + x)]);
+    }
+  }
+}
+
+// An uncoded block reconstructs to its prediction (pred + 0 rounds back to
+// pred), so its bytes are copied.
+void CopyBlock(std::uint8_t* out, std::int64_t stride, const Pixels& pred) {
+  for (int y = 0; y < 8; ++y) {
+    std::memcpy(out + y * stride, pred.p + y * pred.stride, 8);
+  }
+}
+
+// Entropy-codes one quantized residual block; false if nothing survived
+// quantization (CBP 0: one bit, no residual).
+bool CodeBlock(BitWriter& bw, const QuantBlock& q) {
   const auto& zz = ZigzagOrder();
   int n_nonzero = 0;
   for (const auto v : q) n_nonzero += v != 0 ? 1 : 0;
   if (n_nonzero == 0) {
     bw.PutBit(0);  // CBP: block not coded
-    return Block{};
+    return false;
   }
   bw.PutBit(1);
   bw.PutUe(static_cast<std::uint32_t>(n_nonzero - 1));
@@ -114,13 +171,14 @@ Block CodeBlock(BitWriter& bw, const Block& residual, double qstep) {
     bw.PutSe(level);
     run = 0;
   }
-  return InverseDct(Dequantize(q, qstep));
+  return true;
 }
 
-Block DecodeBlock(BitReader& br, double qstep) {
-  if (br.GetBit() == 0) return Block{};
+// Reads one block's quantized residual into `q`; false for an uncoded block.
+bool DecodeBlock(BitReader& br, QuantBlock& q) {
+  if (br.GetBit() == 0) return false;
   const std::uint32_t n_nonzero = br.GetUe() + 1;
-  QuantBlock q{};
+  q = QuantBlock{};
   const auto& zz = ZigzagOrder();
   std::size_t pos = 0;
   for (std::uint32_t i = 0; i < n_nonzero; ++i) {
@@ -130,28 +188,7 @@ Block DecodeBlock(BitReader& br, double qstep) {
     q[static_cast<std::size_t>(zz[pos])] = br.GetSe();
     ++pos;
   }
-  return InverseDct(Dequantize(q, qstep));
-}
-
-// The six 8x8 blocks of a macroblock: offsets within luma / chroma planes.
-struct MbGeometry {
-  std::int64_t mx, my;    // luma pixel origin
-  std::int64_t cx, cy;    // chroma pixel origin
-};
-
-// Adds residual to prediction and writes the result into `plane`.
-void ReconstructBlock(std::uint8_t* plane, std::int64_t stride,
-                      std::int64_t x0, std::int64_t y0, const Block& pred,
-                      const Block& residual) {
-  Block sum{};
-  for (std::size_t i = 0; i < 64; ++i) sum[i] = pred[i] + residual[i];
-  PutBlock8(plane, stride, x0, y0, sum);
-}
-
-Block FlatBlock(float v) {
-  Block b{};
-  b.fill(v);
-  return b;
+  return true;
 }
 
 }  // namespace
@@ -198,73 +235,39 @@ std::string Encoder::EncodeFrame(const video::Frame& frame,
   stats_.is_iframe = iframe;
   stats_.qp = qp_;
 
-  const std::int64_t cw = pad_w_ / 2;
   for (std::int64_t my = 0; my < pad_h_; my += 16) {
     for (std::int64_t mx = 0; mx < pad_w_; mx += 16) {
-      const MbGeometry g{mx, my, mx / 2, my / 2};
       Mv mv{};
       if (!iframe) {
         mv = MotionSearch(cur, ref_, mx, my, cfg_.search_range);
       }
-
-      // Gather predictions for the 6 blocks.
-      Block pred[6];
-      if (iframe) {
-        for (auto& p : pred) p = FlatBlock(128.0f);
-      } else {
-        int bi = 0;
-        for (const auto& [ox, oy] :
-             {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-          pred[bi++] = GetBlock8(ref_.y.data(), pad_w_, mx + mv.dx + ox,
-                                 my + mv.dy + oy);
-        }
-        pred[4] = GetBlock8(ref_.cb.data(), cw, g.cx + mv.dx / 2,
-                            g.cy + mv.dy / 2);
-        pred[5] = GetBlock8(ref_.cr.data(), cw, g.cx + mv.dx / 2,
-                            g.cy + mv.dy / 2);
-      }
-
-      // Residuals.
-      Block cur_blocks[6];
-      {
-        int bi = 0;
-        for (const auto& [ox, oy] :
-             {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-          cur_blocks[bi++] = GetBlock8(cur.y.data(), pad_w_, mx + ox, my + oy);
-        }
-        cur_blocks[4] = GetBlock8(cur.cb.data(), cw, g.cx, g.cy);
-        cur_blocks[5] = GetBlock8(cur.cr.data(), cw, g.cx, g.cy);
-      }
+      const auto sites = MacroblockSites(mx, my);
+      Pixels pred[6];
       Block residual[6];
-      bool all_zero = true;
-      QuantBlock qtest{};
       for (int b = 0; b < 6; ++b) {
-        for (std::size_t i = 0; i < 64; ++i) {
-          residual[b][i] = cur_blocks[b][i] - pred[b][i];
-        }
-        if (all_zero) {
-          const Block freq = ForwardDct(residual[b]);
-          qtest = Quantize(freq, qstep);
-          for (const auto v : qtest) {
-            if (v != 0) {
-              all_zero = false;
-              break;
-            }
-          }
-        }
+        pred[b] = iframe ? Flat128() : RefBlock(ref_, sites[b], mv);
+        residual[b] = Residual(
+            {BlockAt(cur, sites[b]), Stride(cur, sites[b].plane)}, pred[b]);
+      }
+      // Quantize blocks until one keeps a coefficient: the macroblock is
+      // then coded, and those blocks' coefficients are reused below.
+      QuantBlock q[6];
+      int quantized = 0;
+      bool all_zero = true;
+      while (all_zero && quantized < 6) {
+        q[quantized] = Quantize(ForwardDct(residual[quantized]), qstep);
+        for (const auto v : q[quantized]) all_zero = all_zero && v == 0;
+        ++quantized;
       }
 
       // Skip mode: P-frame, zero motion, nothing survives quantization.
       if (!iframe && mv.dx == 0 && mv.dy == 0 && all_zero) {
         bw.PutBit(1);  // skip
         ++stats_.skip_blocks;
-        int bi = 0;
-        for (const auto& [ox, oy] :
-             {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-          PutBlock8(recon.y.data(), pad_w_, mx + ox, my + oy, pred[bi++]);
+        for (int b = 0; b < 6; ++b) {
+          CopyBlock(BlockAt(recon, sites[b]), Stride(recon, sites[b].plane),
+                    pred[b]);
         }
-        PutBlock8(recon.cb.data(), cw, g.cx, g.cy, pred[4]);
-        PutBlock8(recon.cr.data(), cw, g.cx, g.cy, pred[5]);
         continue;
       }
 
@@ -275,17 +278,16 @@ std::string Encoder::EncodeFrame(const video::Frame& frame,
       }
       ++stats_.coded_blocks;
 
-      int bi = 0;
-      for (const auto& [ox, oy] : {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-        const Block rec_res = CodeBlock(bw, residual[bi], qstep);
-        ReconstructBlock(recon.y.data(), pad_w_, mx + ox, my + oy, pred[bi],
-                         rec_res);
-        ++bi;
+      for (int b = 0; b < 6; ++b) {
+        if (b >= quantized) q[b] = Quantize(ForwardDct(residual[b]), qstep);
+        std::uint8_t* out = BlockAt(recon, sites[b]);
+        const std::int64_t stride = Stride(recon, sites[b].plane);
+        if (CodeBlock(bw, q[b])) {
+          Reconstruct(out, stride, pred[b], InverseDct(Dequantize(q[b], qstep)));
+        } else {
+          CopyBlock(out, stride, pred[b]);
+        }
       }
-      const Block rec_cb = CodeBlock(bw, residual[4], qstep);
-      ReconstructBlock(recon.cb.data(), cw, g.cx, g.cy, pred[4], rec_cb);
-      const Block rec_cr = CodeBlock(bw, residual[5], qstep);
-      ReconstructBlock(recon.cr.data(), cw, g.cx, g.cy, pred[5], rec_cr);
     }
   }
 
@@ -353,10 +355,9 @@ video::Frame Decoder::DecodeFrame(std::string_view chunk) {
   recon.cb.resize(static_cast<std::size_t>((pad_w_ / 2) * (pad_h_ / 2)));
   recon.cr.resize(recon.cb.size());
 
-  const std::int64_t cw = pad_w_ / 2;
+  QuantBlock q;
   for (std::int64_t my = 0; my < pad_h_; my += 16) {
     for (std::int64_t mx = 0; mx < pad_w_; mx += 16) {
-      const std::int64_t cx = mx / 2, cy = my / 2;
       Mv mv{};
       bool skip = false;
       if (!iframe) {
@@ -374,42 +375,17 @@ video::Frame Decoder::DecodeFrame(std::string_view chunk) {
         }
       }
 
-      Block pred[6];
-      if (iframe) {
-        for (auto& p : pred) p = FlatBlock(128.0f);
-      } else {
-        int bi = 0;
-        for (const auto& [ox, oy] :
-             {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-          pred[bi++] = GetBlock8(ref_.y.data(), pad_w_, mx + mv.dx + ox,
-                                 my + mv.dy + oy);
+      const auto sites = MacroblockSites(mx, my);
+      for (const BlockSite& site : sites) {
+        const Pixels pred = iframe ? Flat128() : RefBlock(ref_, site, mv);
+        std::uint8_t* out = BlockAt(recon, site);
+        const std::int64_t stride = Stride(recon, site.plane);
+        if (!skip && DecodeBlock(br, q)) {
+          Reconstruct(out, stride, pred, InverseDct(Dequantize(q, qstep)));
+        } else {
+          CopyBlock(out, stride, pred);
         }
-        pred[4] = GetBlock8(ref_.cb.data(), cw, cx + mv.dx / 2, cy + mv.dy / 2);
-        pred[5] = GetBlock8(ref_.cr.data(), cw, cx + mv.dx / 2, cy + mv.dy / 2);
       }
-
-      if (skip) {
-        int bi = 0;
-        for (const auto& [ox, oy] :
-             {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-          PutBlock8(recon.y.data(), pad_w_, mx + ox, my + oy, pred[bi++]);
-        }
-        PutBlock8(recon.cb.data(), cw, cx, cy, pred[4]);
-        PutBlock8(recon.cr.data(), cw, cx, cy, pred[5]);
-        continue;
-      }
-
-      int bi = 0;
-      for (const auto& [ox, oy] : {std::pair{0, 0}, {8, 0}, {0, 8}, {8, 8}}) {
-        const Block res = DecodeBlock(br, qstep);
-        ReconstructBlock(recon.y.data(), pad_w_, mx + ox, my + oy, pred[bi],
-                         res);
-        ++bi;
-      }
-      const Block res_cb = DecodeBlock(br, qstep);
-      ReconstructBlock(recon.cb.data(), cw, cx, cy, pred[4], res_cb);
-      const Block res_cr = DecodeBlock(br, qstep);
-      ReconstructBlock(recon.cr.data(), cw, cx, cy, pred[5], res_cr);
     }
   }
 

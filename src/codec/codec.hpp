@@ -87,7 +87,12 @@ class Decoder {
   // container header would carry).
   Decoder(std::int64_t width, std::int64_t height);
 
+  // Throws util::CheckError on a malformed chunk and keeps the reference
+  // it had.
   video::Frame DecodeFrame(std::string_view chunk);
+
+  // Forgets the reference: P-frames are refused until the next I-frame.
+  void DropReference() { have_ref_ = false; }
 
  private:
   std::int64_t width_, height_, pad_w_, pad_h_;

@@ -15,8 +15,6 @@ void DatacenterReceiver::Receive(const UploadPacket& packet) {
                "packets must arrive in frame order (got "
                    << packet.frame_index << " after " << last_index_ << ")");
   FF_CHECK_EQ(packet.frame_index, packet.metadata.frame_index);
-  last_index_ = packet.frame_index;
-  bytes_received_ += packet.chunk.size();
 
   // Tombstones carry metadata only: the clip was suppressed by cross-camera
   // dedupe (its canonical view arrives on another stream's receiver). The
@@ -27,11 +25,20 @@ void DatacenterReceiver::Receive(const UploadPacket& packet) {
     FF_CHECK_MSG(packet.chunk.empty(), "tombstone packets carry no bitstream");
     ++tombstones_received_;
   } else {
-    frames_.push_back(decoder_.DecodeFrame(packet.chunk));
-    frames_.back().index = packet.frame_index;
+    video::Frame frame;
+    try {
+      frame = decoder_.DecodeFrame(packet.chunk);
+    } catch (const util::CheckError&) {
+      decoder_.DropReference();
+      throw;
+    }
+    frame.index = packet.frame_index;
+    frames_.push_back(std::move(frame));
     frame_indices_.push_back(packet.frame_index);
     slot = frames_.size() - 1;
   }
+  last_index_ = packet.frame_index;
+  bytes_received_ += packet.chunk.size();
 
   for (const auto& [mc_name, event_id] : packet.metadata.memberships) {
     const auto key = std::make_pair(mc_name, event_id);

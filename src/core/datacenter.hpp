@@ -46,7 +46,11 @@ class DatacenterReceiver {
  public:
   DatacenterReceiver(std::int64_t frame_width, std::int64_t frame_height);
 
-  // Feeds the next packet (packets arrive in frame order).
+  // Feeds the next packet (packets arrive in frame order). Throws
+  // util::CheckError on a packet out of order or a chunk the decoder
+  // refuses; a refused packet counts nowhere. A refused chunk also drops
+  // the decoder's reference, so the stream's P-frames are refused until its
+  // next I-frame instead of decoding against a stale reference.
   void Receive(const UploadPacket& packet);
 
   // A contiguous run of received frames belonging to one (MC, event).

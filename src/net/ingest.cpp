@@ -223,7 +223,15 @@ void DatacenterIngest::DeliverRecord(FleetState& fs, StreamState& ss,
     ++stats_.bad_records;
     return;
   }
-  ss.receiver->Receive(p);
+  try {
+    ss.receiver->Receive(p);
+  } catch (const util::CheckError&) {
+    // A chunk the decoder refuses, or a P-frame after one: count it and
+    // keep pumping. The receiver dropped its reference, so the stream
+    // resumes at its next I-frame; the other streams never notice.
+    ++stats_.bad_records;
+    return;
+  }
   ++stats_.uploads_delivered;
 }
 

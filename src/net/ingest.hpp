@@ -61,7 +61,8 @@ struct IngestStats {
   std::int64_t uploads_delivered = 0;  // fed to a DatacenterReceiver
   std::int64_t events_delivered = 0;
   std::int64_t xevents_delivered = 0;  // cross-camera fused events
-  std::int64_t bad_records = 0;        // reassembled but undecodable
+  std::int64_t bad_records = 0;        // reassembled but undecodable, or
+                                       // an upload its receiver refused
   std::int64_t legacy_records = 0;     // pre-xcam encoder, fields defaulted
   std::int64_t fetch_requests = 0;     // RequestClip calls
   std::int64_t fetch_retransmits = 0;  // re-sent unanswered requests

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/codec.hpp"
 #include "core/datacenter.hpp"
 #include "core/edge_fleet.hpp"
 #include "net/ingest.hpp"
@@ -323,6 +324,79 @@ TEST(NetIngest, XEventsTombstonesAndLegacyRecordsDeliver) {
   ASSERT_EQ(xevents[0].members.size(), 1u);
   EXPECT_EQ(xevents[0].members[0].event_id, 9);
   EXPECT_EQ(xevents[0].members[0].priority, 2);
+}
+
+// A chunk that decodes to garbage is untrusted input like any other: the
+// ingest refuses and counts it, Pump() returns, the stream's P-frames that
+// follow are refused too (their reference is gone), the stream resumes at
+// its next I-frame, and the other stream's frames are untouched.
+TEST(NetIngest, RefusedChunkIsCountedAndTheStreamResumesAtItsNextIFrame) {
+  constexpr std::int64_t kFrames = 10;
+  const video::SyntheticDataset ds(video::JacksonSpec(64, kFrames, 73));
+  const std::int64_t w = ds.spec().width, h = ds.spec().height;
+  auto [edge_end, server_end] = LocalLink::MakePair();
+  DatacenterIngest ingest;
+  ingest.AddFleet(kFleetId, *server_end);
+
+  // Two streams of the same clip, I-frames at 0, 4 and 8. Stream 1's
+  // frame 1 is mutated to zeros, which no decoder accepts.
+  std::map<std::int64_t, std::unique_ptr<core::DatacenterReceiver>> clean;
+  std::vector<std::uint64_t> chunk_bytes;  // stream 1's, per frame
+  std::uint64_t wire_seq = 0;
+  for (const std::int64_t stream : {0, 1}) {
+    clean[stream] = std::make_unique<core::DatacenterReceiver>(w, h);
+    codec::EncoderConfig cfg{.width = w, .height = h};
+    cfg.gop_size = 4;
+    codec::Encoder enc(cfg);
+    for (std::int64_t t = 0; t < kFrames; ++t) {
+      core::UploadPacket p;
+      p.stream = stream;
+      p.frame_index = t;
+      p.frame_width = w;
+      p.frame_height = h;
+      p.chunk = enc.EncodeFrame(ds.RenderFrame(t));
+      p.metadata.frame_index = t;
+      p.metadata.memberships.emplace_back("mc", 1);
+      clean[stream]->Receive(p);
+      if (stream == 1) chunk_bytes.push_back(p.chunk.size());
+      if (stream == 1 && t == 1) {
+        ASSERT_FALSE(enc.last_stats().is_iframe);
+        p.chunk.assign(p.chunk.size(), '\0');
+      }
+      for (DataFrame f : FragmentRecord(kFleetId, stream,
+                                        static_cast<std::uint64_t>(t),
+                                        EncodeUploadRecord(p), 600)) {
+        f.wire_seq = wire_seq++;
+        edge_end->Send(EncodeFrame(f));
+      }
+    }
+  }
+
+  EXPECT_GT(ingest.Pump(), 0u);
+  const IngestStats stats = ingest.stats();
+  EXPECT_EQ(stats.bad_records, 3);  // the mutated frame 1, then P-frames 2, 3
+  EXPECT_EQ(stats.uploads_delivered, 2 * kFrames - 3);
+
+  const core::DatacenterReceiver* intact = ingest.receiver(kFleetId, 0);
+  ASSERT_NE(intact, nullptr);
+  ExpectReceiverMatchesReference(*intact, *clean[0]);
+
+  const core::DatacenterReceiver* hit = ingest.receiver(kFleetId, 1);
+  ASSERT_NE(hit, nullptr);
+  const std::vector<std::int64_t> kept = {0, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(hit->frame_indices(), kept);
+  std::uint64_t kept_bytes = 0;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const auto t = static_cast<std::size_t>(kept[i]);
+    ExpectFramesBitwiseEqual(hit->frames()[i], clean[1]->frames()[t]);
+    kept_bytes += chunk_bytes[t];
+  }
+  EXPECT_EQ(hit->bytes_received(), kept_bytes);  // refused chunks count none
+  const auto clips = hit->Clips();
+  ASSERT_EQ(clips.size(), 1u);
+  EXPECT_EQ(clips[0].first_frame, 0);
+  EXPECT_EQ(clips[0].last_frame, kFrames - 1);
+  EXPECT_EQ(clips[0].frame_slots.size(), kept.size());
 }
 
 TEST(NetIngest, CleanLinkMatchesInProcessBitwise) {

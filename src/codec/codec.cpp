@@ -394,4 +394,32 @@ video::Frame Decoder::DecodeFrame(std::string_view chunk) {
   return Yuv420ToRgb(ref_, width_, height_);
 }
 
+bool IsIFrame(std::string_view chunk) {
+  return !chunk.empty() && (static_cast<std::uint8_t>(chunk[0]) & 0x80u) != 0;
+}
+
+// ---------------------------------------------------------------------------
+// ChunkReplay
+// ---------------------------------------------------------------------------
+
+ChunkReplay::ChunkReplay(std::int64_t width, std::int64_t height)
+    : decoder_(width, height) {}
+
+const video::Frame& ChunkReplay::Decode(const std::vector<std::string>& chunks,
+                                        std::size_t slot) {
+  FF_CHECK_LT(slot, chunks.size());
+  if (slot == slot_) return frame_;
+  std::size_t start = slot;
+  while (start > 0 && !IsIFrame(chunks[start])) --start;
+  // An I-frame decodes alike whatever the decoder held. Past a cached slot
+  // in the same run, the decoder already holds the reference.
+  std::size_t next = start;
+  if (slot_ != kNone && start <= slot_ && slot_ < slot) next = slot_ + 1;
+  slot_ = kNone;  // a refused chunk leaves no usable cache
+  for (; next < slot; ++next) decoder_.DecodeFrame(chunks[next]);
+  frame_ = decoder_.DecodeFrame(chunks[slot]);
+  slot_ = slot;
+  return frame_;
+}
+
 }  // namespace ff::codec

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "codec/yuv.hpp"
 #include "video/frame.hpp"
@@ -98,6 +99,34 @@ class Decoder {
   std::int64_t width_, height_, pad_w_, pad_h_;
   YuvImage ref_;
   bool have_ref_ = false;
+};
+
+// True when `chunk` codes an I-frame (its first bit), which decodes without
+// a reference. False for an empty chunk.
+bool IsIFrame(std::string_view chunk);
+
+// Decodes a stored run of chunks on demand. The run must be chunks one
+// Decoder accepted in order, so each is an I-frame or a P-frame against the
+// chunk before it, and the first is an I-frame. A read replays from the
+// slot's I-frame, which decodes as it would on a fresh Decoder. The replay
+// keeps its decoder and the frame it decoded last, so reading the slots in
+// order decodes each chunk once. Every call must pass the same run, which
+// may have grown since.
+class ChunkReplay {
+ public:
+  ChunkReplay(std::int64_t width, std::int64_t height);
+
+  // The frame chunks[slot] decodes to. Throws util::CheckError on a chunk
+  // the decoder refuses.
+  const video::Frame& Decode(const std::vector<std::string>& chunks,
+                             std::size_t slot);
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  Decoder decoder_;
+  std::size_t slot_ = kNone;  // the slot frame_ and decoder_ are at
+  video::Frame frame_;
 };
 
 }  // namespace ff::codec

@@ -8,7 +8,15 @@ namespace ff::core {
 
 DatacenterReceiver::DatacenterReceiver(std::int64_t frame_width,
                                        std::int64_t frame_height)
-    : decoder_(frame_width, frame_height) {}
+    : width_(frame_width),
+      height_(frame_height),
+      decoder_(frame_width, frame_height) {}
+
+video::Frame DatacenterReceiver::FrameView::operator[](std::size_t slot) const {
+  video::Frame frame = replay_.Decode(rx_->chunks_, slot);
+  frame.index = rx_->frame_indices_[slot];
+  return frame;
+}
 
 void DatacenterReceiver::Receive(const UploadPacket& packet) {
   FF_CHECK_MSG(packet.frame_index > last_index_,
@@ -25,17 +33,17 @@ void DatacenterReceiver::Receive(const UploadPacket& packet) {
     FF_CHECK_MSG(packet.chunk.empty(), "tombstone packets carry no bitstream");
     ++tombstones_received_;
   } else {
-    video::Frame frame;
+    // The decode validates the chunk and advances the stream's reference;
+    // the pixels are dropped, and frames() decodes them again when read.
     try {
-      frame = decoder_.DecodeFrame(packet.chunk);
+      decoder_.DecodeFrame(packet.chunk);
     } catch (const util::CheckError&) {
       decoder_.DropReference();
       throw;
     }
-    frame.index = packet.frame_index;
-    frames_.push_back(std::move(frame));
+    chunks_.push_back(packet.chunk);
     frame_indices_.push_back(packet.frame_index);
-    slot = frames_.size() - 1;
+    slot = chunks_.size() - 1;
   }
   last_index_ = packet.frame_index;
   bytes_received_ += packet.chunk.size();

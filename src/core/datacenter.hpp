@@ -6,6 +6,15 @@
 // event) clips — what a datacenter analytics application consumes. Event
 // IDs in frame metadata "are used by applications to determine the event
 // boundaries" (paper §3.5); this module is that consumer.
+//
+// What is retained: the bitstream, not pixels. Receive() decodes every chunk
+// (the decode validates it and advances the stream's reference), drops the
+// pixels and keeps only the accepted chunk: a few hundred bytes, where its
+// decoded frame is ~110 KB at 256x144. frames() decodes a slot when it is
+// read: it replays from the slot's I-frame, so a read costs up to one GOP of
+// decodes, and a view read in slot order decodes each chunk once. Reads must
+// not race Receive(), the same contract a reference into a growing vector
+// has.
 #pragma once
 
 #include <cstdint>
@@ -65,22 +74,40 @@ class DatacenterReceiver {
   // Clips observed so far, grouped per MC in (mc, event id) order.
   std::vector<EventClip> Clips() const;
 
-  // All decoded frames, in arrival order (frame_slots index into this).
-  const std::vector<video::Frame>& frames() const { return frames_; }
+  // The received frames in arrival order (frame_slots index into this),
+  // decoded on read. A view holds its own one-frame cache, so separate
+  // views may be read concurrently but one view may not; it must not
+  // outlive its receiver.
+  class FrameView {
+   public:
+    std::size_t size() const { return rx_->chunks_.size(); }
+    // The frame in `slot`, with its stream index.
+    video::Frame operator[](std::size_t slot) const;
+
+   private:
+    friend class DatacenterReceiver;
+    explicit FrameView(const DatacenterReceiver& rx)
+        : rx_(&rx), replay_(rx.width_, rx.height_) {}
+
+    const DatacenterReceiver* rx_;
+    mutable codec::ChunkReplay replay_;
+  };
+  FrameView frames() const { return FrameView(*this); }
   const std::vector<std::int64_t>& frame_indices() const {
     return frame_indices_;
   }
 
   std::uint64_t bytes_received() const { return bytes_received_; }
   std::int64_t frames_received() const {
-    return static_cast<std::int64_t>(frames_.size());
+    return static_cast<std::int64_t>(chunks_.size());
   }
   // Metadata-only packets whose clip was suppressed by cross-camera dedupe.
   std::int64_t tombstones_received() const { return tombstones_received_; }
 
  private:
+  std::int64_t width_, height_;
   codec::Decoder decoder_;
-  std::vector<video::Frame> frames_;
+  std::vector<std::string> chunks_;  // the accepted chunks, by slot
   std::vector<std::int64_t> frame_indices_;
   // (mc, event id) -> clip under assembly.
   std::map<std::pair<std::string, std::int64_t>, EventClip> clips_;

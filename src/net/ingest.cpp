@@ -16,11 +16,11 @@ constexpr std::int64_t kFetchResendPumps = 4;
 
 std::vector<video::Frame> FetchedClip::DecodeFrames() const {
   FF_CHECK_MSG(ok, "DecodeFrames on a refused clip");
-  codec::Decoder decoder(width, height);
+  codec::ChunkReplay replay(width, height);
   std::vector<video::Frame> frames;
   frames.reserve(chunks.size());
-  for (const std::string& chunk : chunks) {
-    frames.push_back(decoder.DecodeFrame(chunk));
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    frames.push_back(replay.Decode(chunks, i));
   }
   return frames;
 }

@@ -83,7 +83,7 @@ struct FetchedClip {
   std::vector<std::string> chunks;
 
   // Decodes the chunks back to pixels (a clip always opens with an
-  // I-frame, so a fresh decoder suffices). Requires ok.
+  // I-frame, so it replays like a receiver's frames). Requires ok.
   std::vector<video::Frame> DecodeFrames() const;
 };
 

@@ -246,6 +246,19 @@ TEST(Codec, DecoderRejectsPFrameWithoutReference) {
   EXPECT_THROW(fresh.DecodeFrame(p_chunk), util::CheckError);
 }
 
+TEST(Codec, IsIFrameReadsTheFrameTypeBit) {
+  Encoder enc({.width = 48, .height = 32, .gop_size = 4});
+  int iframes = 0;
+  for (int t = 0; t < 12; ++t) {
+    const std::string chunk =
+        enc.EncodeFrame(TestPattern(48, 32, t), /*force_iframe=*/t == 6);
+    EXPECT_EQ(IsIFrame(chunk), enc.last_stats().is_iframe) << "frame " << t;
+    iframes += IsIFrame(chunk) ? 1 : 0;
+  }
+  EXPECT_EQ(iframes, 4);  // 0, 4, the forced 6, 8
+  EXPECT_FALSE(IsIFrame(""));
+}
+
 // A P-frame chunk is untrusted input: a motion vector that would read the
 // prediction from outside the padded reference must be refused before any
 // block is fetched, and the refusal must leave the reference intact.

@@ -2,6 +2,12 @@
 // DatacenterReceiver, clip reassembly, and decoded-frame fidelity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <random>
+
+#include "codec/codec.hpp"
 #include "core/datacenter.hpp"
 #include "core/edge_node.hpp"
 #include "video/dataset.hpp"
@@ -198,6 +204,111 @@ TEST(Datacenter, UploadSinkBindsLate) {
   EXPECT_EQ(seen.front(), already);
   EXPECT_EQ(seen.back(), 11);
   EXPECT_EQ(static_cast<std::int64_t>(seen.size()), 12 - already);
+}
+
+// A receiver fed packets across several GOPs, with tombstones and one
+// mutated chunk mid-GOP, next to what a reference decoder returned for each
+// accepted chunk at receive time (the decode the receiver used to keep).
+struct ReplayFixture {
+  DatacenterReceiver rec{160, 90};
+  std::vector<video::Frame> want;  // by slot, index set
+  std::vector<std::int64_t> refused;  // frame indices
+  std::vector<std::int64_t> iframes;  // frame indices of I-frame chunks
+};
+
+ReplayFixture FeedSeveralGops() {
+  constexpr std::int64_t kFrames = 40;
+  constexpr std::int64_t kMutated = 12;  // a P-frame mid-GOP
+  const std::vector<std::int64_t> tombstones = {3, 4, 19, 27};
+  const video::SyntheticDataset ds(SmallSpec(kFrames, 65));
+  codec::Encoder enc({.width = 160, .height = 90, .gop_size = 6});
+  codec::Decoder ref(160, 90);
+  ReplayFixture f;
+  for (std::int64_t t = 0; t < kFrames; ++t) {
+    UploadPacket p;
+    p.frame_index = t;
+    p.metadata.frame_index = t;
+    p.metadata.memberships.emplace_back("mc", t / 10);
+    if (std::find(tombstones.begin(), tombstones.end(), t) !=
+        tombstones.end()) {
+      p.tombstone = true;
+      f.rec.Receive(p);
+      continue;
+    }
+    // An event start forces an I-frame off the GOP cadence, as the edge's
+    // upload path does.
+    p.chunk = enc.EncodeFrame(ds.RenderFrame(t), /*force_iframe=*/t == 25);
+    if (codec::IsIFrame(p.chunk)) f.iframes.push_back(t);
+    if (t == kMutated) {
+      EXPECT_FALSE(codec::IsIFrame(p.chunk));
+      std::fill(p.chunk.begin(), p.chunk.end(), '\0');
+    }
+    try {
+      video::Frame frame = ref.DecodeFrame(p.chunk);
+      frame.index = t;
+      f.want.push_back(std::move(frame));
+    } catch (const util::CheckError&) {
+      ref.DropReference();
+      f.refused.push_back(t);
+      EXPECT_THROW(f.rec.Receive(p), util::CheckError) << "frame " << t;
+      continue;
+    }
+    f.rec.Receive(p);
+  }
+  return f;
+}
+
+void ExpectSameFrame(const video::Frame& got, const video::Frame& want) {
+  ASSERT_EQ(got.width(), want.width());
+  ASSERT_EQ(got.height(), want.height());
+  EXPECT_EQ(got.index, want.index);
+  const auto n = static_cast<std::size_t>(want.pixels());
+  EXPECT_EQ(0, std::memcmp(got.r(), want.r(), n)) << "frame " << want.index;
+  EXPECT_EQ(0, std::memcmp(got.g(), want.g(), n)) << "frame " << want.index;
+  EXPECT_EQ(0, std::memcmp(got.b(), want.b(), n)) << "frame " << want.index;
+}
+
+TEST(Datacenter, FeedSpansGopsTombstonesAndARefusedRun) {
+  const ReplayFixture f = FeedSeveralGops();
+  // gop_size counts encoded frames, so the tombstones shift the cadence:
+  // I-frames at 0, 8, 14, 21, the forced 25, then 28 and 34.
+  EXPECT_EQ(f.iframes, (std::vector<std::int64_t>{0, 8, 14, 21, 25, 28, 34}));
+  // The mutated P-frame and the P-frames after it are refused until the
+  // next I-frame; the rest of the run decodes.
+  EXPECT_EQ(f.refused, (std::vector<std::int64_t>{12, 13}));
+  ASSERT_EQ(f.rec.frames_received(), static_cast<std::int64_t>(f.want.size()));
+  EXPECT_EQ(f.rec.tombstones_received(), 4);
+  for (std::size_t s = 0; s < f.want.size(); ++s) {
+    EXPECT_EQ(f.rec.frame_indices()[s], f.want[s].index);
+  }
+}
+
+TEST(Datacenter, DecodeOnReadIsBitwiseInAnyReadOrder) {
+  const ReplayFixture f = FeedSeveralGops();
+  const std::size_t n = f.want.size();
+  ASSERT_EQ(f.rec.frames().size(), n);
+
+  std::vector<std::size_t> forward(n);
+  std::iota(forward.begin(), forward.end(), std::size_t{0});
+  std::vector<std::size_t> reverse(forward.rbegin(), forward.rend());
+  // Seeded random order, then some slots read twice in a row or again later.
+  std::vector<std::size_t> shuffled = forward;
+  std::mt19937 rng(66);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (std::size_t k = 0; k < n; k += 3) {
+    shuffled.insert(shuffled.begin() + static_cast<std::ptrdiff_t>(k),
+                    shuffled[k]);
+  }
+  shuffled.insert(shuffled.end(), {n - 1, 0, n / 2, n / 2, 1});
+
+  for (const auto* order : {&forward, &reverse, &shuffled}) {
+    const auto view = f.rec.frames();  // one cache across the whole order
+    for (const std::size_t s : *order) ExpectSameFrame(view[s], f.want[s]);
+  }
+  // A fresh view per read starts every read from a cold cache.
+  for (const std::size_t s : shuffled) {
+    ExpectSameFrame(f.rec.frames()[s], f.want[s]);
+  }
 }
 
 }  // namespace

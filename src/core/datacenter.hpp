@@ -9,12 +9,12 @@
 //
 // What is retained: the bitstream, not pixels. Receive() decodes every chunk
 // (the decode validates it and advances the stream's reference), drops the
-// pixels and keeps only the accepted chunk: a few hundred bytes, where its
-// decoded frame is ~110 KB at 256x144. frames() decodes a slot when it is
-// read: it replays from the slot's I-frame, so a read costs up to one GOP of
-// decodes, and a view read in slot order decodes each chunk once. Reads must
-// not race Receive(), the same contract a reference into a growing vector
-// has.
+// pixels and keeps only the accepted chunk: hundreds of bytes to a few KB,
+// where its decoded frame is ~110 KB at 256x144. frames() decodes a slot
+// when it is read: it replays from the slot's I-frame, so a read costs up
+// to one GOP of decodes, and a view read in slot order decodes each chunk
+// once. Reads must not race Receive(), the same contract a reference into
+// a growing vector has.
 #pragma once
 
 #include <cstdint>

@@ -43,12 +43,9 @@ int main(int argc, char** argv) {
                                        bp.epochs);
       dnn::FeatureExtractor fx({.include_classifier = false});
       fx.RequestTap(tap);
-      train::McScorer scorer(*trained.mc);
-      train::StreamDatasetFeatures(
-          test_ds, fx, 0, test_ds.n_frames(),
-          [&](std::int64_t, const dnn::FeatureMaps& fm) { scorer.Observe(fm); });
       const auto m =
-          bench::EvalScores(scorer.Finish(), test_ds, trained.threshold);
+          bench::EvalScores(bench::ScoreDataset(*trained.mc, fx, test_ds),
+                            test_ds, trained.threshold);
       t.AddRow({tap, crop ? "yes" : "no",
                 util::Table::Num(
                     static_cast<double>(trained.mc->MarginalMacsPerFrame()) /

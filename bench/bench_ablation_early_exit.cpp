@@ -5,6 +5,7 @@
 // (and widest) layers entirely.
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -18,9 +19,14 @@ int main(int argc, char** argv) {
   bench::JsonResult json("ablation_early_exit",
                          bench::JsonResult::PathFromArgs(argc, argv));
   bench::AddParams(json, bp);
-  const std::int64_t n_frames = util::EnvInt("FF_BENCH_FRAMES", 6) + 1;
-  auto spec = video::JacksonSpec(bp.width, n_frames + 1, 34);
+  const std::int64_t timed = util::EnvInt("FF_BENCH_FRAMES", 6);
+  auto spec = video::JacksonSpec(bp.width, bench::kWarmupFrames + timed + 1,
+                                 34);
   const video::SyntheticDataset ds(spec);
+  std::vector<nn::Tensor> inputs;
+  for (std::int64_t i = 0; i < bench::kWarmupFrames + timed; ++i) {
+    inputs.push_back(bench::Preprocess(ds.RenderFrame(i)));
+  }
 
   util::Table t({"deepest tap", "stride", "G multiply-adds/frame",
                  "ms/frame", "vs full backbone"});
@@ -32,17 +38,11 @@ int main(int argc, char** argv) {
                                 std::string("conv3_2/sep")}) {
     dnn::FeatureExtractor fx({.include_classifier = false});
     fx.RequestTap(tap);
-    // Warmup + measure.
-    const video::Frame f0 = ds.RenderFrame(0);
-    fx.Extract(dnn::PreprocessRgb(f0.r(), f0.g(), f0.b(), f0.height(),
-                                  f0.width()));
-    util::WallTimer timer;
-    for (std::int64_t i = 1; i < n_frames; ++i) {
-      const video::Frame f = ds.RenderFrame(i);
-      fx.Extract(dnn::PreprocessRgb(f.r(), f.g(), f.b(), f.height(),
-                                    f.width()));
-    }
-    const double ms = timer.ElapsedMillis() / static_cast<double>(n_frames - 1);
+    const bench::Spread ms_per_frame =
+        bench::TimeFrames(timed, [&](std::int64_t i) {
+          fx.Extract(inputs[i]);
+        }).Map([](double s) { return s * 1e3; });
+    const double ms = ms_per_frame.median;
     if (tap == "conv6/sep") full_ms = ms;
     t.AddRow({tap, std::to_string(dnn::TapStride(tap)),
               util::Table::Num(static_cast<double>(fx.MacsPerFrame(
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     json.Row("gmacs_per_frame",
              static_cast<double>(
                  fx.MacsPerFrame(ds.spec().height, ds.spec().width)) / 1e9);
-    json.Row("ms_per_frame", ms);
+    json.Row("ms_per_frame", ms_per_frame);
     json.Row("speedup_vs_full", full_ms / ms);
   }
   t.Print(std::cout);

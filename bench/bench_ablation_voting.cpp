@@ -37,11 +37,7 @@ int main(int argc, char** argv) {
 
   dnn::FeatureExtractor fx({.include_classifier = false});
   fx.RequestTap(tap);
-  train::McScorer scorer(*trained.mc);
-  train::StreamDatasetFeatures(
-      test_ds, fx, 0, test_ds.n_frames(),
-      [&](std::int64_t, const dnn::FeatureMaps& fm) { scorer.Observe(fm); });
-  const auto scores = scorer.Finish();
+  const auto scores = bench::ScoreDataset(*trained.mc, fx, test_ds);
 
   std::vector<std::uint8_t> raw(scores.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {

@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   bench::JsonResult json("ablation_window_reuse",
                          bench::JsonResult::PathFromArgs(argc, argv));
   bench::AddParams(json, bp);
-  const std::int64_t n_frames = util::EnvInt("FF_BENCH_FRAMES", 8) + 1;
+  const std::int64_t timed = util::EnvInt("FF_BENCH_FRAMES", 8);
+  const std::int64_t n_frames = bench::kWarmupFrames + timed;
 
   auto spec = video::RoadwaySpec(bp.width, n_frames + 1, 33);
   spec.object_scale = bp.object_scale;
@@ -44,21 +45,23 @@ int main(int argc, char** argv) {
   // Extract features once.
   std::vector<dnn::FeatureMaps> fms;
   for (std::int64_t i = 0; i < n_frames; ++i) {
-    const video::Frame f = ds.RenderFrame(i);
-    fms.push_back(fx.Extract(dnn::PreprocessRgb(f.r(), f.g(), f.b(),
-                                                f.height(), f.width())));
+    fms.push_back(fx.Extract(bench::Preprocess(ds.RenderFrame(i))));
   }
 
-  // Verify equivalence and time both paths.
+  // Time both paths over every frame (warm-up included in the outputs), then
+  // check they agree.
+  const auto time_ms = [&](core::WindowedLocalizedMc& mc,
+                           std::vector<float>& out) {
+    return bench::TimeFrames(timed, [&](std::int64_t i) {
+             out.push_back(mc.Infer(fms[i]));
+           })
+        .Map([](double s) { return s * 1e3; });
+  };
+  std::vector<float> a, b;
+  const bench::Spread reuse = time_ms(with_reuse, a);
+  const bench::Spread naive = time_ms(without_reuse, b);
+  const double reuse_ms = reuse.median, naive_ms = naive.median;
   double max_diff = 0.0;
-  util::WallTimer t1;
-  std::vector<float> a;
-  for (const auto& fm : fms) a.push_back(with_reuse.Infer(fm));
-  const double reuse_ms = t1.ElapsedMillis() / static_cast<double>(fms.size());
-  util::WallTimer t2;
-  std::vector<float> b;
-  for (const auto& fm : fms) b.push_back(without_reuse.Infer(fm));
-  const double naive_ms = t2.ElapsedMillis() / static_cast<double>(fms.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     max_diff = std::max(max_diff, std::abs(static_cast<double>(a[i] - b[i])));
   }
@@ -80,8 +83,8 @@ int main(int argc, char** argv) {
               static_cast<double>(with_reuse.MarginalMacsWithoutReuse()) /
                   static_cast<double>(with_reuse.MarginalMacsPerFrame()),
               max_diff);
-  json.Set("reuse_ms_per_frame", reuse_ms);
-  json.Set("no_reuse_ms_per_frame", naive_ms);
+  json.Set("reuse_ms_per_frame", reuse);
+  json.Set("no_reuse_ms_per_frame", naive);
   json.Set("measured_speedup_x", naive_ms / reuse_ms);
   json.Set("analytic_speedup_x",
            static_cast<double>(with_reuse.MarginalMacsWithoutReuse()) /

@@ -12,16 +12,20 @@
 //                             scaled resolutions)
 //   FF_BENCH_EVENT_LEN        mean ground-truth event length in frames
 //                             (default 22)
-//   FF_BENCH_FRAMES           frames per throughput measurement (default 3)
+//   FF_BENCH_FRAMES           timed frames per measurement, after
+//                             kWarmupFrames untimed ones (default 3;
+//                             the two timed ablations default to 6 and 8)
 //   FF_BENCH_MAX_CLASSIFIERS  top of the Fig. 5/6 sweep (default 50)
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/microclassifier.hpp"
@@ -33,6 +37,7 @@
 #include "train/trainer.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "video/dataset.hpp"
@@ -117,6 +122,22 @@ inline TrainedMc TrainOneMc(const std::string& arch,
   return out;
 }
 
+// `mc`'s score for every frame of `ds`, its features from `fx`.
+inline std::vector<float> ScoreDataset(core::Microclassifier& mc,
+                                       dnn::FeatureExtractor& fx,
+                                       const video::SyntheticDataset& ds) {
+  train::McScorer scorer(mc);
+  train::StreamDatasetFeatures(
+      ds, fx, 0, ds.n_frames(),
+      [&](std::int64_t, const dnn::FeatureMaps& fm) { scorer.Observe(fm); });
+  return scorer.Finish();
+}
+
+// One frame as the (1, 3, H, W) input every model here takes.
+inline nn::Tensor Preprocess(const video::Frame& f) {
+  return dnn::PreprocessRgb(f.r(), f.g(), f.b(), f.height(), f.width());
+}
+
 // Preprocessed batch of the dataset's first `n` frames — the calibration
 // input for quantize-configured extractors (int8 activation scales must see
 // representative frames, not noise).
@@ -141,6 +162,57 @@ inline metrics::EventMetrics EvalScores(const std::vector<float>& scores,
   }
   const auto smoothed = core::SmoothLabels(raw, 5, 2);
   return metrics::ComputeEventMetrics(ds.labels(), ds.events(), smoothed);
+}
+
+// Untimed frames each timing loop runs before its samples: first-touch
+// allocations, int8 auto-calibration and cold caches land here.
+inline constexpr std::int64_t kWarmupFrames = 1;
+
+// Median and quartiles of one timing loop's per-frame samples.
+struct Spread {
+  double median = 0, p25 = 0, p75 = 0;
+
+  // Under an increasing function, e.g. seconds to milliseconds.
+  template <typename F>
+  Spread Map(F f) const {
+    return {f(median), f(p25), f(p75)};
+  }
+  // Rates from seconds per frame (fps): the quartiles swap places.
+  Spread Inverse() const { return {1 / median, 1 / p75, 1 / p25}; }
+};
+
+// The benches' one timing loop. Calls frame(i) for i in [0, kWarmupFrames)
+// and drops what it returns, then for the next `timed` frames adds each
+// call's samples to one util::RunningStat per sample. frame(i) returns a
+// std::array of the seconds it timed itself; TimeFrames below times the
+// whole call.
+template <typename Fn>
+auto SampleFrames(std::int64_t timed, Fn&& frame) {
+  FF_CHECK_MSG(timed > 0, "FF_BENCH_FRAMES must be positive, got " << timed);
+  using Samples = decltype(frame(std::int64_t{0}));
+  constexpr std::size_t kN = std::tuple_size_v<Samples>;
+  for (std::int64_t i = 0; i < kWarmupFrames; ++i) frame(i);
+  std::array<util::RunningStat, kN> stats;
+  for (std::int64_t i = kWarmupFrames; i < kWarmupFrames + timed; ++i) {
+    const Samples s = frame(i);
+    for (std::size_t k = 0; k < kN; ++k) stats[k].Add(s[k]);
+  }
+  std::array<Spread, kN> out;
+  for (std::size_t k = 0; k < kN; ++k) {
+    out[k] = {stats[k].Percentile(50), stats[k].Percentile(25),
+              stats[k].Percentile(75)};
+  }
+  return out;
+}
+
+// Wall seconds per frame(i) call.
+template <typename Fn>
+Spread TimeFrames(std::int64_t timed, Fn&& frame) {
+  return SampleFrames(timed, [&](std::int64_t i) {
+    const util::WallTimer timer;
+    frame(i);
+    return std::array{timer.ElapsedSeconds()};
+  })[0];
 }
 
 // Machine-readable bench results: scalar summary fields plus a "rows" array
@@ -183,6 +255,17 @@ class JsonResult {
   }
   void Row(const std::string& key, const std::string& v) {
     if (enabled()) CurrentRow().push_back({key, Quote(v)});
+  }
+  // The median under `key`, the quartiles under `key`_p25 and `key`_p75.
+  void Set(const std::string& key, const Spread& v) {
+    Set(key, v.median);
+    Set(key + "_p25", v.p25);
+    Set(key + "_p75", v.p75);
+  }
+  void Row(const std::string& key, const Spread& v) {
+    Row(key, v.median);
+    Row(key + "_p25", v.p25);
+    Row(key + "_p75", v.p75);
   }
 
   // Writes the file and reports the path on stdout; no-op when disabled.

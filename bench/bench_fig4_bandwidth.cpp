@@ -105,12 +105,7 @@ int main(int argc, char** argv) {
     // Score the ORIGINAL test stream once (edge-side FF).
     dnn::FeatureExtractor fx({.include_classifier = false});
     fx.RequestTap(tap);
-    train::McScorer scorer(*trained.mc);
-    train::StreamDatasetFeatures(test_ds, fx, 0, test_ds.n_frames(),
-                                 [&](std::int64_t, const dnn::FeatureMaps& fm) {
-                                   scorer.Observe(fm);
-                                 });
-    const auto edge_scores = scorer.Finish();
+    const auto edge_scores = bench::ScoreDataset(*trained.mc, fx, test_ds);
 
     std::vector<SeriesPoint> ff_series;
     std::size_t ff_main_idx = 0;  // calibrated threshold at good quality

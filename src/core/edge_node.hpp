@@ -150,7 +150,8 @@ class EdgeNode {
   }
 
   // Phase time totals in seconds. mc_seconds is the wall time of the
-  // fanned-out phase 2 (bench_fig6_breakdown times each MC itself).
+  // fanned-out phase 2 (bench_fig5_throughput's Fig. 6 breakdown times
+  // each MC itself).
   double base_dnn_seconds() const { return fleet_.base_dnn_seconds(); }
   double mc_seconds() const { return fleet_.mc_seconds(); }
   double smooth_seconds() const { return fleet_.smooth_seconds(); }

@@ -1,9 +1,11 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace ff::nn {
 
@@ -13,6 +15,9 @@ constexpr char kMagic[4] = {'F', 'F', 'N', 'W'};
 constexpr std::uint32_t kVersion = 1;
 constexpr char kQuantMagic[4] = {'F', 'F', 'N', 'Q'};
 constexpr std::uint32_t kQuantVersion = 1;
+// Longest blob or op name either loader accepts. Names are layer paths like
+// "conv5_6/sep"; the cap keeps a hostile length from sizing an allocation.
+constexpr std::uint32_t kMaxNameLen = 4096;
 
 template <typename T>
 void WritePod(std::ostream& os, const T& v) {
@@ -25,6 +30,25 @@ T ReadPod(std::istream& is) {
   is.read(reinterpret_cast<char*>(&v), sizeof(T));
   FF_CHECK_MSG(is.good(), "truncated weight stream");
   return v;
+}
+
+std::string ReadName(std::istream& is) {
+  const auto len = ReadPod<std::uint32_t>(is);
+  FF_CHECK_MSG(len <= kMaxNameLen, "checkpoint name length "
+                                       << len << " exceeds the cap of "
+                                       << kMaxNameLen << " bytes");
+  std::string name(len, '\0');
+  is.read(name.data(), len);
+  FF_CHECK_MSG(is.good(), "truncated weight stream in a name");
+  return name;
+}
+
+// Both formats end exactly at their last field, as a wire frame does.
+void CheckNoTrailingBytes(std::istream& is, const std::string& bytes) {
+  const auto end = static_cast<std::size_t>(is.tellg());
+  FF_CHECK_MSG(end == bytes.size(), "checkpoint has "
+                                        << bytes.size() - end
+                                        << " trailing bytes");
 }
 
 }  // namespace
@@ -63,10 +87,11 @@ void DeserializeWeights(Sequential& net, const std::string& bytes) {
   FF_CHECK_MSG(count == params.size(),
                net.name() << ": file has " << count << " blobs, net has "
                           << params.size());
+  // Parse every blob before touching the net, so a refused checkpoint
+  // leaves its weights as they were.
+  std::vector<std::vector<float>> blobs(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const auto name_len = ReadPod<std::uint32_t>(is);
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
+    const std::string name = ReadName(is);
     const auto n_floats = ReadPod<std::uint64_t>(is);
     FF_CHECK_MSG(name == params[i].name,
                  "blob " << i << ": file has '" << name << "', net has '"
@@ -74,9 +99,14 @@ void DeserializeWeights(Sequential& net, const std::string& bytes) {
     FF_CHECK_MSG(n_floats == params[i].value->size(),
                  name << ": file has " << n_floats << " floats, net expects "
                       << params[i].value->size());
-    is.read(reinterpret_cast<char*>(params[i].value->data()),
+    blobs[i].resize(n_floats);
+    is.read(reinterpret_cast<char*>(blobs[i].data()),
             static_cast<std::streamsize>(n_floats * sizeof(float)));
     FF_CHECK_MSG(is.good(), "truncated weight stream in blob " << name);
+  }
+  CheckNoTrailingBytes(is, bytes);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::copy(blobs[i].begin(), blobs[i].end(), params[i].value->begin());
   }
 }
 
@@ -143,11 +173,7 @@ QuantizedProgram DeserializeQuantized(Sequential& net,
                           << "has " << prog.n_ops());
   for (std::uint32_t i = 0; i < count; ++i) {
     QuantOp& op = prog.ops_[i];
-    const auto name_len = ReadPod<std::uint32_t>(is);
-    FF_CHECK_MSG(name_len <= 4096, "quantized checkpoint: absurd name length");
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    FF_CHECK_MSG(is.good(), "truncated quantized weight stream");
+    const std::string name = ReadName(is);
     FF_CHECK_MSG(name == op.name, "op " << i << ": file has '" << name
                                         << "', plan has '" << op.name << "'");
     const auto kind = ReadPod<std::uint8_t>(is);
@@ -179,6 +205,7 @@ QuantizedProgram DeserializeQuantized(Sequential& net,
                    op.name << ": non-finite requant parameters");
     }
   }
+  CheckNoTrailingBytes(is, bytes);
   return prog;
 }
 

@@ -5,7 +5,8 @@
 // Loading matches blobs by name and checks sizes, so a file trained by one
 // binary is loadable by any other that builds the same architecture (this is
 // how paper §3.2's "developer supplies the network weights" deployment step
-// is modeled).
+// is modeled). The whole stream is parsed before any weight is written, so a
+// refused checkpoint leaves the net as it was.
 //
 // Quantized format: "FFNQ" magic, u32 version, input ActQuant (f32 scale,
 // i32 zero point), u32 op count, then per op: u32 name length, name bytes,
@@ -15,7 +16,8 @@
 // sizes must match the architecture the caller built — so a truncated or
 // hostile byte stream fails a loud FF_CHECK instead of loading garbage.
 // Loading a quantized file through the float entry points (or vice versa)
-// is also a loud FF_CHECK, not a silent magic mismatch.
+// is also a loud FF_CHECK, not a silent magic mismatch. Both loaders cap a
+// name at 4096 bytes and refuse bytes after the last field.
 #pragma once
 
 #include <string>

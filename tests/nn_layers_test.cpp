@@ -10,6 +10,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
@@ -563,6 +564,69 @@ TEST(Serialize, RejectsGarbage) {
   Sequential a("a");
   a.Add(std::make_unique<FullyConnected>("fc", 4, 2));
   EXPECT_THROW(DeserializeWeights(a, "not a weight file"), util::CheckError);
+}
+
+// Two nets of one architecture with different weights: `donor` writes the
+// checkpoint, `target` loads it.
+struct SerializePair {
+  Sequential donor{"n"}, target{"n"};
+  SerializePair() {
+    for (auto* net : {&donor, &target}) {
+      net->Add(std::make_unique<Conv2D>("c1", 2, 4, 3, 1, Padding::kSameCeil));
+      net->Add(std::make_unique<FullyConnected>("fc", 4, 2));
+    }
+    HeInit(donor, 11);
+    HeInit(target, 22);
+  }
+  std::vector<std::vector<float>> TargetWeights() {
+    std::vector<std::vector<float>> out;
+    for (const auto& p : target.Params()) out.push_back(*p.value);
+    return out;
+  }
+};
+
+TEST(Serialize, CheckpointCutInItsLastBlobLeavesEveryWeightUnchanged) {
+  SerializePair pair;
+  const auto before = pair.TargetWeights();
+  ASSERT_GE(before.size(), 2u);
+  const std::string bytes = SerializeWeights(pair.donor);
+  EXPECT_THROW(DeserializeWeights(pair.target,
+                                  bytes.substr(0, bytes.size() - 1)),
+               util::CheckError);
+  const auto after = pair.TargetWeights();
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(before[i].size(), after[i].size());
+    EXPECT_EQ(0, std::memcmp(before[i].data(), after[i].data(),
+                             before[i].size() * sizeof(float)))
+        << "blob " << i << " was overwritten by a refused checkpoint";
+  }
+}
+
+TEST(Serialize, RejectsATrailingByte) {
+  SerializePair pair;
+  const std::string bytes = SerializeWeights(pair.donor);
+  EXPECT_THROW(DeserializeWeights(pair.target, bytes + '\0'),
+               util::CheckError);
+  DeserializeWeights(pair.target, bytes);  // the exact stream still loads
+}
+
+TEST(Serialize, HugeNameLengthIsRefusedAtTheCap) {
+  SerializePair pair;
+  // Magic, version 1, the net's blob count, then a name length of 2^32 - 1.
+  std::string bytes = "FFNW";
+  for (const std::uint32_t v :
+       {1u, static_cast<std::uint32_t>(pair.target.Params().size()),
+        0xFFFFFFFFu}) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  try {
+    DeserializeWeights(pair.target, bytes);
+    FAIL() << "a 4 GiB name length was accepted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("cap of 4096"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HeInit, DeterministicPerLayerName) {

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -255,6 +257,37 @@ TEST(QuantizeSerialize, HostileBytesNeverLoadGarbage) {
   EXPECT_THROW(DeserializeQuantized(other, bytes), util::CheckError);
 }
 
+TEST(QuantizeSerialize, RejectsATrailingByte) {
+  Sequential net = MakeMixedNet(24);
+  const std::string bytes =
+      SerializeQuantized(Quantizer::Quantize(net, MixedInput(2, 3)));
+  EXPECT_THROW(DeserializeQuantized(net, bytes + 'x'), util::CheckError);
+  DeserializeQuantized(net, bytes);  // the exact stream still loads
+}
+
+TEST(QuantizeSerialize, HugeNameLengthIsRefusedAtTheCap) {
+  Sequential net = MakeMixedNet(25);
+  const QuantizedProgram plan = Quantizer::Plan(net);
+  // Magic, version 1, input scale 1.0 and zero point 0, the plan's op count,
+  // then a name length of 2^32 - 1.
+  std::string bytes = "FFNQ";
+  const auto put = [&bytes](const auto v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint32_t{1});
+  put(1.0f);
+  put(std::int32_t{0});
+  put(static_cast<std::uint32_t>(plan.n_ops()));
+  put(std::uint32_t{0xFFFFFFFFu});
+  try {
+    DeserializeQuantized(net, bytes);
+    FAIL() << "a 4 GiB name length was accepted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("cap of 4096"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --- extractor plumbing ----------------------------------------------------
 
 dnn::MobileNetOptions TinyTrunk() {
@@ -340,6 +373,44 @@ TEST(QuantizedExtractor, SaveLoadRoundTripAndKindMismatch) {
   EXPECT_THROW(qfx2.LoadWeights(fpath), util::CheckError);
   // Float extractors cannot be asked to calibrate.
   EXPECT_THROW(ffx.CalibrateQuantized(frames), util::CheckError);
+}
+
+TEST(QuantizedExtractor, RefusedCheckpointLeavesTheExtractorAsItWas) {
+  TempDir dir("cut");
+  const Tensor frames = TinyFrames(1, 94);
+  for (const bool quantize : {false, true}) {
+    SCOPED_TRACE(quantize ? "FFNQ" : "FFNW");
+    const std::string path = dir.str() + "/donor.ckpt";
+    dnn::MobileNetOptions donor_opts = TinyTrunk();
+    donor_opts.seed = 7;
+    dnn::FeatureExtractor donor(
+        dnn::FeatureExtractorConfig{donor_opts, quantize});
+    dnn::FeatureExtractor target(
+        dnn::FeatureExtractorConfig{TinyTrunk(), quantize});
+    for (auto* fx : {&donor, &target}) {
+      fx->RequestTap(dnn::kMidTap);
+      if (quantize) fx->CalibrateQuantized(frames);
+    }
+    donor.SaveWeights(path);
+    const Tensor before = target.Extract(frames).at(dnn::kMidTap);
+
+    // Cut the donor's checkpoint inside its last blob.
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 1));
+    EXPECT_THROW(target.LoadWeights(path), util::CheckError);
+
+    const Tensor after = target.Extract(frames).at(dnn::kMidTap);
+    ASSERT_EQ(before.elements(), after.elements());
+    EXPECT_EQ(0, std::memcmp(before.data(), after.data(),
+                             static_cast<std::size_t>(before.elements()) *
+                                 sizeof(float)))
+        << "a refused checkpoint changed the extractor's output";
+  }
 }
 
 // --- microclassifier plumbing ----------------------------------------------
